@@ -18,18 +18,6 @@ namespace semsim {
 
 namespace {
 
-void merge_stats(SolverStats& into, const SolverStats& s) {
-  into.events += s.events;
-  into.rate_evaluations += s.rate_evaluations;
-  into.cp_rate_evaluations += s.cp_rate_evaluations;
-  into.cot_rate_evaluations += s.cot_rate_evaluations;
-  into.potential_node_updates += s.potential_node_updates;
-  into.junctions_tested += s.junctions_tested;
-  into.junctions_flagged += s.junctions_flagged;
-  into.full_refreshes += s.full_refreshes;
-  into.source_updates += s.source_updates;
-}
-
 /// Checkpoint request from the driver options; resume_path wins and demands
 /// an existing file.
 CheckpointConfig checkpoint_config(const SimulationInput& input,
@@ -44,15 +32,6 @@ CheckpointConfig checkpoint_config(const SimulationInput& input,
   ckpt.salvage = options.salvage_checkpoint;
   if (ckpt.enabled()) ckpt.fingerprint = run_fingerprint(input, options);
   return ckpt;
-}
-
-/// Checked OUTSIDE retry try-blocks so a cancellation is never degraded
-/// into a recorded failure (see analysis/sweep.cpp for the sweep twin).
-void throw_if_cancelled(const CancelToken* cancel, const char* where) {
-  if (cancel != nullptr && cancel->stop_requested()) {
-    throw Error(ErrorCode::kCancelled,
-                std::string("run cancelled before ") + where);
-  }
 }
 
 /// The domain-decomposed measurement path (core/partition.h): one global
@@ -632,7 +611,7 @@ DriverResult run_simulation(const SimulationInput& input,
               r.estimate = measure_mean_current(*slot, probes, cfg);
             }
             r.sim_time = slot->time();
-            merge_stats(r.stats, slot->stats());
+            r.stats += slot->stats();
             r.integrity.merge(slot->integrity_report());
             r.attempts = tried + 1;
             if (tried > 0) r.code = last_code;  // retried, then succeeded
@@ -642,7 +621,7 @@ DriverResult run_simulation(const SimulationInput& input,
             last_code =
                 e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
             if (slot) {
-              merge_stats(r.stats, slot->stats());
+              r.stats += slot->stats();
               r.integrity.merge(slot->integrity_report());
             }
             if (options.retry.should_retry(last_code, tried)) {
@@ -679,7 +658,7 @@ DriverResult run_simulation(const SimulationInput& input,
   for (std::size_t rpt = 0; rpt < runs_out.size(); ++rpt) {
     const RepeatResult& r = runs_out[rpt];
     result.simulated_time += r.sim_time;
-    merge_stats(result.stats, r.stats);
+    result.stats += r.stats;
     result.counters.absorb(r.stats);
     result.integrity.merge(r.integrity);
     if (!r.ok) {

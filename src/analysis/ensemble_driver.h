@@ -3,13 +3,11 @@
 // run_ensemble is the execution half of analysis/ensemble.h — run_simulation
 // dispatches here when options.ensemble.enabled. Two execution modes:
 //
-//   * the FUSED GANG path, for plain fixed-budget current measurements
+//   * the MEASUREMENT path, for plain fixed-budget current measurements
 //     (no sweep, no transient window, no convergence stopping, repeats = 1):
-//     replicas are grouped into fixed tiles of four and every tile runs as
-//     one core/ensemble.h lockstep gang — N engines advancing in event
-//     rounds, ONE tunnel_rates_batch_replicas pass per round over the whole
-//     replica-major arena. Each lane's trajectory, estimate, and statistics
-//     are bitwise identical to running that replica solo;
+//     one work unit per replica, each a plain solo Engine on the replica's
+//     derived stream measured by measure_mean_current — the single-device
+//     estimator, so each row is exactly what that replica yields alone;
 //   * the GENERAL path, for sweeps, transients, convergence-stopped and
 //     multi-repeat runs: one work unit per replica, each recursing into the
 //     single-device run_simulation with the replica's derived seed.

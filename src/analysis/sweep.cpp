@@ -15,18 +15,6 @@ namespace semsim {
 
 namespace {
 
-void accumulate_stats(SolverStats& into, const SolverStats& s) {
-  into.events += s.events;
-  into.rate_evaluations += s.rate_evaluations;
-  into.cp_rate_evaluations += s.cp_rate_evaluations;
-  into.cot_rate_evaluations += s.cot_rate_evaluations;
-  into.potential_node_updates += s.potential_node_updates;
-  into.junctions_tested += s.junctions_tested;
-  into.junctions_flagged += s.junctions_flagged;
-  into.full_refreshes += s.full_refreshes;
-  into.source_updates += s.source_updates;
-}
-
 /// The bias points a sweep config describes: from, from+step, ..., <= to+eps.
 std::vector<double> sweep_points(const IvSweepConfig& cfg) {
   std::vector<double> points;
@@ -64,32 +52,6 @@ IvPoint measure_point(Engine& engine, const IvSweepConfig& cfg, double bias) {
   return p;
 }
 
-void encode_iv_point(BinaryWriter& w, const IvPoint& p) {
-  w.f64(p.bias);
-  w.f64(p.current);
-  w.f64(p.stderr_mean);
-  w.f64(p.rel_error);
-  w.f64(p.tau_int);
-  w.u64(p.events);
-  w.u8(static_cast<std::uint8_t>(p.status));
-  w.u32(static_cast<std::uint32_t>(p.error));
-  w.u32(p.attempts);
-}
-
-IvPoint decode_iv_point(BinaryReader& r) {
-  IvPoint p;
-  p.bias = r.f64();
-  p.current = r.f64();
-  p.stderr_mean = r.f64();
-  p.rel_error = r.f64();
-  p.tau_int = r.f64();
-  p.events = r.u64();
-  p.status = static_cast<PointStatus>(r.u8());
-  p.error = static_cast<ErrorCode>(r.u32());
-  p.attempts = r.u32();
-  return p;
-}
-
 /// Runs one bias point with fault isolation. `eng` is the unit's current
 /// engine; `rebuild(attempt)` must replace it with a fresh one on the retry
 /// stream `attempt` and repoint `eng`. Recoverable errors are retried under
@@ -101,16 +63,6 @@ IvPoint decode_iv_point(BinaryReader& r) {
 /// `integrity` and `abandoned_stats`, when non-null, collect the audit
 /// trail and solver work of every engine discarded by a retry (the final
 /// engine is the caller's to harvest).
-/// Throws Error(kCancelled) when `cancel` is raised. Checked OUTSIDE the
-/// retry try-blocks so a cancellation is never degraded into a failed row
-/// (which would be checkpointed and survive a resume).
-void throw_if_cancelled(const CancelToken* cancel, const char* where) {
-  if (cancel != nullptr && cancel->stop_requested()) {
-    throw Error(ErrorCode::kCancelled,
-                std::string("run cancelled before ") + where);
-  }
-}
-
 template <typename Rebuild>
 IvPoint run_point_isolated(Engine*& eng, const IvSweepConfig& cfg,
                            std::size_t index, double bias,
@@ -136,7 +88,7 @@ IvPoint run_point_isolated(Engine*& eng, const IvSweepConfig& cfg,
       ++tried;
       last_code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
       if (integrity != nullptr) integrity->merge(eng->integrity_report());
-      if (abandoned_stats != nullptr) accumulate_stats(*abandoned_stats, eng->stats());
+      if (abandoned_stats != nullptr) *abandoned_stats += eng->stats();
       if (cfg.retry.should_retry(last_code, tried)) {
         retry_sleep(retry_backoff_seconds(cfg.retry, tried));
         rebuild(++stream_attempt);
@@ -194,6 +146,32 @@ std::uint64_t sweep_checkpoint_fingerprint(const IvSweepConfig& cfg,
 }
 
 }  // namespace
+
+void encode_iv_point(BinaryWriter& w, const IvPoint& p) {
+  w.f64(p.bias);
+  w.f64(p.current);
+  w.f64(p.stderr_mean);
+  w.f64(p.rel_error);
+  w.f64(p.tau_int);
+  w.u64(p.events);
+  w.u8(static_cast<std::uint8_t>(p.status));
+  w.u32(static_cast<std::uint32_t>(p.error));
+  w.u32(p.attempts);
+}
+
+IvPoint decode_iv_point(BinaryReader& r) {
+  IvPoint p;
+  p.bias = r.f64();
+  p.current = r.f64();
+  p.stderr_mean = r.f64();
+  p.rel_error = r.f64();
+  p.tau_int = r.f64();
+  p.events = r.u64();
+  p.status = static_cast<PointStatus>(r.u8());
+  p.error = static_cast<ErrorCode>(r.u32());
+  p.attempts = r.u32();
+  return p;
+}
 
 std::string point_status_label(const IvPoint& p) {
   switch (p.status) {
@@ -309,7 +287,7 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
       out[i] = run_point_isolated(eng, cfg, i, points[i], stream_attempt,
                                   rebuild, report, &acc);
     }
-    accumulate_stats(acc, eng->stats());
+    acc += eng->stats();
     if (report != nullptr) report->merge(eng->integrity_report());
     unit_stats[u] = acc;
     if (cp) {
@@ -391,7 +369,7 @@ void run_map_row(Engine*& eng, const StabilityMapConfig& cfg, std::size_t g,
             e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
         if (integrity != nullptr) integrity->merge(eng->integrity_report());
         if (abandoned_stats != nullptr)
-          accumulate_stats(*abandoned_stats, eng->stats());
+          *abandoned_stats += eng->stats();
         if (cfg.retry.should_retry(last_code, tried)) {
           retry_sleep(retry_backoff_seconds(cfg.retry, tried));
           rebuild(++stream_attempt);
@@ -478,7 +456,7 @@ std::vector<std::vector<double>> run_stability_map(
     run_map_row(eng, cfg, g, stream_attempt, rebuild, map[g],
                 report != nullptr ? &row_degraded[g] : nullptr,
                 report != nullptr ? &row_reports[g] : nullptr, &acc);
-    accumulate_stats(acc, eng->stats());
+    acc += eng->stats();
     if (report != nullptr) row_reports[g].merge(eng->integrity_report());
     unit_stats[g] = acc;
   });

@@ -53,6 +53,11 @@ struct IvPoint {
 /// "failed:invariant.non_finite_rate").
 std::string point_status_label(const IvPoint& p);
 
+/// Checkpoint codec of one IvPoint (sweep chunks and ensemble replica rows
+/// share it). The byte layout is part of the checkpoint format.
+void encode_iv_point(BinaryWriter& w, const IvPoint& p);
+IvPoint decode_iv_point(BinaryReader& r);
+
 /// Streaming progress consumer for long runs (the service daemon's status
 /// verb). Callbacks fire from WORKER THREADS as work units complete, so
 /// implementations must be thread-safe. Observing progress never draws RNG

@@ -12,6 +12,9 @@
 #pragma once
 
 #include <atomic>
+#include <string>
+
+#include "base/error.h"
 
 namespace semsim {
 
@@ -34,5 +37,16 @@ class CancelToken {
  private:
   std::atomic<bool> stop_{false};
 };
+
+/// Throws Error(kCancelled) when `cancel` is raised. Drivers check it
+/// OUTSIDE their retry try-blocks, so a cancellation is never degraded into
+/// a recorded failure (a failed row would be checkpointed and survive a
+/// resume).
+inline void throw_if_cancelled(const CancelToken* cancel, const char* where) {
+  if (cancel != nullptr && cancel->stop_requested()) {
+    throw Error(ErrorCode::kCancelled,
+                std::string("run cancelled before ") + where);
+  }
+}
 
 }  // namespace semsim

@@ -80,41 +80,46 @@ void parallel_for(ThreadPool* pool, std::size_t n,
 
   // All units run even if some throw; afterwards the lowest-index exception
   // is rethrown so failures are independent of worker scheduling.
-  struct Failure {
+  //
+  // The shared state lives in this frame, which outlives every task: the
+  // wait below returns only after the last task's final access. A task
+  // captures just (i, &st), two words, so std::function stores it inline.
+  // Keep it that way: with heap closures a 64-replica SET ensemble at 4
+  // threads on a 4-vCPU x86 VM took 3.40 s of CPU instead of 2.65 s. A
+  // closure allocated here and freed by a worker lands in that worker's
+  // allocator cache, which hands it out again for the worker's next small
+  // allocations, beside blocks the other workers got, so small per-unit
+  // engines likely ended up sharing cache lines across threads.
+  struct State {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t remaining = 0;
     std::mutex mu;
-    std::size_t index = ~std::size_t{0};
+    std::condition_variable done;
+    std::size_t failed_index = ~std::size_t{0};
     std::exception_ptr error;
-  };
-  auto failure = std::make_shared<Failure>();
-
-  struct Remaining {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t count;
-  };
-  auto remaining = std::make_shared<Remaining>();
-  remaining->count = n;
+  } st;
+  st.fn = &fn;
+  st.remaining = n;
 
   for (std::size_t i = 0; i < n; ++i) {
-    pool->submit([i, &fn, failure, remaining] {
+    pool->submit([i, &st] {
+      std::exception_ptr error;
       try {
-        fn(i);
+        (*st.fn)(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(failure->mu);
-        if (i < failure->index) {
-          failure->index = i;
-          failure->error = std::current_exception();
-        }
+        error = std::current_exception();
       }
-      std::lock_guard<std::mutex> lock(remaining->mu);
-      if (--remaining->count == 0) remaining->cv.notify_all();
+      std::lock_guard<std::mutex> lock(st.mu);
+      if (error && i < st.failed_index) {
+        st.failed_index = i;
+        st.error = error;
+      }
+      if (--st.remaining == 0) st.done.notify_all();
     });
   }
-  {
-    std::unique_lock<std::mutex> lock(remaining->mu);
-    remaining->cv.wait(lock, [&] { return remaining->count == 0; });
-  }
-  if (failure->error) std::rethrow_exception(failure->error);
+  std::unique_lock<std::mutex> lock(st.mu);
+  st.done.wait(lock, [&] { return st.remaining == 0; });
+  if (st.error) std::rethrow_exception(st.error);
 }
 
 ParallelExecutor::ParallelExecutor(unsigned threads) {

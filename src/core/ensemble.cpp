@@ -1,128 +1,49 @@
 #include "core/ensemble.h"
 
-#include <algorithm>
-
-#include "physics/rates.h"
+#include <utility>
 
 namespace semsim {
 
-void EnsembleRateArena::evaluate(bool fast) {
-  if (out_.size() < size()) out_.resize(size());
-  tunnel_rates_batch_replicas(dw_.data(), g_.data(), kt_.data(),
-                              offsets_.data(), kt_.size(), fast, out_.data());
-}
-
-EnsembleEngine::EnsembleEngine(std::vector<Engine*> lanes, bool fast_rates)
+EnsembleEngine::EnsembleEngine(std::vector<Engine*> lanes, bool /*fast_rates*/)
     : lanes_(std::move(lanes)),
       states_(lanes_.size()),
       executed_(lanes_.size(), 0),
-      events_(lanes_.size()),
-      fast_rates_(fast_rates) {
-  for (Engine* e : lanes_) {
+      events_(lanes_.size()) {
+  for (const Engine* e : lanes_) {
     require(e != nullptr, "EnsembleEngine: null lane");
-    require(e->options().fast_rates == fast_rates_,
-            "EnsembleEngine: lanes must share the fast_rates flag");
-    e->bind_rate_arena(&arenas_[0]);
   }
 }
 
-EnsembleEngine::~EnsembleEngine() {
-  for (Engine* e : lanes_) e->bind_rate_arena(nullptr);
-}
-
-namespace {
-
-void fail_lane(EnsembleEngine::LaneState& st, const Error& e) {
-  st.alive = false;
-  st.code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-  st.message = e.what();
-}
-
-}  // namespace
-
-EnsembleEngine::RoundCounts EnsembleEngine::advance_round(bool finish_prev) {
-  EnsembleRateArena& arena = arenas_[cur_];
-  arena.clear();
-
-  // Phase A: advance every runnable lane to its commit point. A lane that
-  // throws is failed in place — its arena segment (if any) is simply never
-  // read back — and the remaining lanes proceed untouched. With
-  // `finish_prev` (pipelined rounds), a lane first commits its previous
-  // event and then begins the next one back to back, while its Fenwick and
-  // flagged state are still cache-hot; finish-before-begin per lane is the
-  // solo operation order, so the trajectory bits cannot differ.
-  RoundCounts rc;
+std::size_t EnsembleEngine::step_round() {
+  std::size_t n = 0;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Engine& lane = *lanes_[i];
     LaneState& st = states_[i];
-    if (finish_prev && executed_[i]) {
-      try {
-        lane.finish_step();
-        ++rc.finished;
-      } catch (const Error& e) {
-        fail_lane(st, e);
-      }
-    }
     executed_[i] = 0;
     if (!st.runnable()) continue;
-    lane.bind_rate_arena(&arena);
     try {
-      if (lane.step_begin(&events_[i])) {
+      if (lanes_[i]->step(&events_[i])) {
         executed_[i] = 1;
-        ++rc.started;
+        ++n;
       } else {
         st.stuck = true;
       }
     } catch (const Error& e) {
-      fail_lane(st, e);
-    }
-  }
-
-  if (rc.started > 0) arena.evaluate(fast_rates_);
-  return rc;
-}
-
-std::size_t EnsembleEngine::finish_round() {
-  // Phase B: commit in REVERSE lane order — the order is irrelevant to the
-  // values (lanes share nothing but the arena, and each lane only reads its
-  // own segment), so walk back from the lane phase A just left: its Fenwick
-  // and flagged state are still cache-hot, and each earlier lane's lines
-  // were evicted least recently. Deterministic either way.
-  std::size_t n = 0;
-  for (std::size_t i = lanes_.size(); i-- > 0;) {
-    if (!executed_[i]) continue;
-    try {
-      lanes_[i]->finish_step();
-      ++n;
-    } catch (const Error& e) {
-      fail_lane(states_[i], e);
-      executed_[i] = 0;
+      // The failed lane leaves the rounds; the others never read its state.
+      st.alive = false;
+      st.code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
+      st.message = e.what();
     }
   }
   return n;
 }
 
-std::size_t EnsembleEngine::step_round() {
-  advance_round(/*finish_prev=*/false);
-  return finish_round();
-}
-
 std::uint64_t EnsembleEngine::run_events(std::uint64_t n) {
-  // Pipelined rounds: each advance_round() call commits round r-1 and
-  // begins round r in one pass over the lanes, with the arena double
-  // buffer keeping r-1's rates alive while r appends. The final round
-  // drains through finish_round(). Totals count committed lane-events,
-  // exactly as a step_round() loop would.
   std::uint64_t total = 0;
-  bool pending = false;
   for (std::uint64_t r = 0; r < n; ++r) {
-    const RoundCounts rc = advance_round(/*finish_prev=*/pending);
-    total += rc.finished;
-    if (rc.started == 0) return total;  // every lane gated, stuck, or failed
-    pending = true;
-    cur_ ^= 1;
+    const std::size_t stepped = step_round();
+    if (stepped == 0) break;
+    total += stepped;
   }
-  total += finish_round();
   return total;
 }
 

@@ -1,36 +1,22 @@
-// Lockstep ensemble execution: N replica engines, one fused rate pass.
+// Lockstep rounds over N replica engines.
 //
-// The ensemble engine of ROADMAP item 3. Each replica is a full Engine over
-// its own (perturbed) circuit — private RNG stream, event clock, Fenwick
-// tree, adaptive solver — but the engines advance in EVENT ROUNDS:
+// Each replica is a full, independent Engine over its own (perturbed)
+// circuit — private RNG stream, event clock, Fenwick tree, adaptive solver.
+// An EnsembleEngine advances them in EVENT ROUNDS: one round is one plain
+// Engine::step() call on every runnable lane, in lane order. Lanes share
+// nothing, so each lane's trajectory is bit for bit the one the same engine
+// produces stepping alone (tests/test_ensemble.cpp locks this down).
 //
-//   phase A   every live lane runs Engine::step_begin(): waiting-time draw,
-//             channel sample, charge move, adaptive flagging, ΔW refresh —
-//             everything except the rate kernel, whose inputs (ΔW pairs +
-//             conductances) are appended to the shared EnsembleRateArena;
-//   evaluate  ONE tunnel_rates_batch_replicas call turns the whole packed
-//             arena — replica-major, every lane's channels back to back —
-//             into rates. With a shared temperature this is a single fused
-//             kernel pass over N × channels contiguous doubles, which is
-//             where the PR 5/6 batch kernels amortize across the ensemble;
-//   phase B   every stepped lane runs Engine::finish_step(): Fenwick commit
-//             of its segment, then the deferred step tail.
-//
-// Bitwise contract: a lane's trajectory is identical, bit for bit, to the
-// same Engine running solo step() calls — phase A never reads another
-// lane's state, the kernels are per-element pure, and the commit/tail order
-// within a lane is exactly the solo order. Locked down by the
-// lockstep-vs-solo differential tests (tests/test_ensemble.cpp) and, via
-// the N=1 path, by all 16 golden trajectory hashes.
+// The analysis layer does not use this class: every ensemble replica runs
+// as its own solo Engine (analysis/ensemble.cpp). It stays for the callers
+// that want round-by-round control over a set of engines, such as the
+// gang-versus-solo probe of the benchmark harness.
 //
 // Fault isolation: a lane whose step throws a coded Error (injected fault,
 // audit violation) is marked failed and dropped from subsequent rounds; the
-// other lanes are untouched — their draws never depended on the failed
-// lane. The analysis layer retries or degrades the single replica
-// (analysis/ensemble.cpp).
+// other lanes are untouched.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -41,91 +27,23 @@
 
 namespace semsim {
 
-/// The shared rate-evaluation staging buffer of one lockstep round.
-/// Replica-major SoA: lane segments of (delta_w, conductance) pairs are
-/// appended back to back; evaluate() runs the replica-strided kernel over
-/// the whole pack; lanes read their rates back by segment offset.
-class EnsembleRateArena {
- public:
-  void clear() noexcept {
-    // dw_/g_/out_ are high-water scratch: the logical pack size lives in
-    // offsets_.back(), so clearing costs two small-vector resets and the
-    // double buffers never re-zero (vector::resize value-initializes, and
-    // every slot is overwritten before the kernel reads it anyway).
-    kt_.clear();
-    offsets_.assign(1, 0);
-  }
-
-  /// Appends one lane's segment (n doubles of ΔW and conductance, one kt)
-  /// and returns the segment's offset into the pack.
-  std::size_t append(const double* dw, const double* g, std::size_t n,
-                     double kt) {
-    double* dst_dw = nullptr;
-    double* dst_g = nullptr;
-    const std::size_t offset = append_reserve(n, kt, &dst_dw, &dst_g);
-    std::copy(dw, dw + n, dst_dw);
-    std::copy(g, g + n, dst_g);
-    return offset;
-  }
-
-  /// Like append(), but hands back the segment's write slots instead of
-  /// copying: the lane computes its ΔW pairs and gathers its conductances
-  /// straight into the pack (one pass instead of a staging copy — this is
-  /// the hot path of every deferred flagged commit). The pointers are valid
-  /// until the next append/clear.
-  std::size_t append_reserve(std::size_t n, double kt, double** dw,
-                             double** g) {
-    const std::size_t offset = offsets_.back();
-    const std::size_t end = offset + n;
-    if (end > dw_.size()) {  // grow (and zero-fill) only past the high-water mark
-      dw_.resize(end);
-      g_.resize(end);
-    }
-    kt_.push_back(kt);
-    offsets_.push_back(end);
-    *dw = dw_.data() + offset;
-    *g = g_.data() + offset;
-    return offset;
-  }
-
-  /// Evaluates every appended segment in one replica-strided kernel call
-  /// (physics/rates.h — a single fused pass when all kt agree).
-  void evaluate(bool fast);
-
-  /// Rates of the segment that append() returned `offset` for. Valid until
-  /// the next clear().
-  const double* rates_at(std::size_t offset) const noexcept {
-    return out_.data() + offset;
-  }
-
-  std::size_t segments() const noexcept { return kt_.size(); }
-  std::size_t size() const noexcept { return offsets_.back(); }
-
- private:
-  std::vector<double> dw_;   // high-water scratch; logical size = size()
-  std::vector<double> g_;
-  std::vector<double> out_;
-  std::vector<double> kt_;             // per segment
-  std::vector<std::size_t> offsets_{0};  // segments() + 1 entries
-};
-
 /// Drives N non-owned replica engines in lockstep rounds. The caller owns
 /// the engines (and the circuits/models under them) and keeps them alive
-/// for the ensemble's lifetime; every lane must share the fast_rates flag
-/// (the arena pass evaluates all segments with one kernel choice).
+/// for the ensemble's lifetime.
 class EnsembleEngine {
  public:
   struct LaneState {
     bool enabled = true;  ///< caller gate (set_enabled) — lane skips rounds
     bool alive = true;    ///< false after an Error escaped the lane's step
-    bool stuck = false;   ///< step_begin returned false (blockade, T = 0)
+    bool stuck = false;   ///< step() returned false (blockade, T = 0)
     ErrorCode code = ErrorCode::kNone;
     std::string message;
     bool runnable() const noexcept { return enabled && alive && !stuck; }
   };
 
+  /// Each lane steps with its own EngineOptions; the fast-rates flag is
+  /// accepted for source compatibility and not consulted.
   explicit EnsembleEngine(std::vector<Engine*> lanes, bool fast_rates);
-  ~EnsembleEngine();
 
   EnsembleEngine(const EnsembleEngine&) = delete;
   EnsembleEngine& operator=(const EnsembleEngine&) = delete;
@@ -134,29 +52,19 @@ class EnsembleEngine {
   Engine& lane(std::size_t i) { return *lanes_[i]; }
   const LaneState& state(std::size_t i) const { return states_[i]; }
 
-  /// Gates lane `i` out of (or back into) subsequent rounds — how the
-  /// measurement driver parks lanes whose block budget is already full.
+  /// Gates lane `i` out of (or back into) subsequent rounds.
   void set_enabled(std::size_t i, bool enabled) {
     states_[i].enabled = enabled;
   }
 
-  /// Executes one lockstep event round over every runnable lane. Returns
-  /// the number of lanes that executed an event this round (0 = every lane
-  /// is gated, stuck, or failed). last_round_executed()[i] tells whether
-  /// lane i stepped; the per-lane Event of the round is in last_event(i).
+  /// Executes one event round over every runnable lane. Returns the number
+  /// of lanes that executed an event this round (0 = every lane is gated,
+  /// stuck, or failed). last_round_executed()[i] tells whether lane i
+  /// stepped; the per-lane Event of the round is in last_event(i).
   std::size_t step_round();
 
   /// Runs up to `n` rounds, stopping early when a round executes nothing.
   /// Returns the total number of lane-events executed.
-  ///
-  /// Rounds are SOFTWARE-PIPELINED: phase B of round r and phase A of round
-  /// r+1 walk the lanes in one pass (each lane commits, then immediately
-  /// begins its next event while its Fenwick and flagged state are still
-  /// cache-hot), with the arena double-buffered so round r's rates survive
-  /// until every lane committed them. Per-lane operation order — and so
-  /// every trajectory bit — is identical to step_round() calls; only the
-  /// interleaving across lanes differs, and lanes share nothing but the
-  /// arena.
   std::uint64_t run_events(std::uint64_t n);
 
   const std::vector<std::uint8_t>& last_round_executed() const noexcept {
@@ -165,26 +73,10 @@ class EnsembleEngine {
   const Event& last_event(std::size_t i) const { return events_[i]; }
 
  private:
-  struct RoundCounts {
-    std::size_t started = 0;   ///< lanes that entered phase A this round
-    std::size_t finished = 0;  ///< previous round's lanes committed here
-  };
-
-  /// Phase A over every runnable lane into arenas_[cur_] (+ the fused
-  /// kernel pass); with `finish_prev`, each lane first commits its pending
-  /// previous-round event — the pipelined single pass of run_events().
-  RoundCounts advance_round(bool finish_prev);
-  /// Phase B for every lane still marked executed: reverse lane order (the
-  /// order is value-irrelevant; the last-begun lane is the cache-hottest).
-  std::size_t finish_round();
-
   std::vector<Engine*> lanes_;
   std::vector<LaneState> states_;
   std::vector<std::uint8_t> executed_;
   std::vector<Event> events_;
-  EnsembleRateArena arenas_[2];  // double buffer for pipelined rounds
-  std::size_t cur_ = 0;
-  bool fast_rates_ = false;
 };
 
 }  // namespace semsim

@@ -108,6 +108,20 @@ struct SolverStats {
   std::uint64_t junctions_flagged = 0;
   std::uint64_t full_refreshes = 0;
   std::uint64_t source_updates = 0;
+
+  /// Field-wise sum: how every driver merges the work of several engines.
+  SolverStats& operator+=(const SolverStats& s) noexcept {
+    events += s.events;
+    rate_evaluations += s.rate_evaluations;
+    cp_rate_evaluations += s.cp_rate_evaluations;
+    cot_rate_evaluations += s.cot_rate_evaluations;
+    potential_node_updates += s.potential_node_updates;
+    junctions_tested += s.junctions_tested;
+    junctions_flagged += s.junctions_flagged;
+    full_refreshes += s.full_refreshes;
+    source_updates += s.source_updates;
+    return *this;
+  }
 };
 
 /// Per-run observability counters for the parallel drivers: solver work

@@ -142,22 +142,22 @@ const SuperconductingParams& Circuit::superconducting_params() const {
 }
 
 const std::vector<std::size_t>& Circuit::junctions_of(NodeId n) const {
-  if (adjacency_.empty()) {
-    adjacency_.resize(nodes_.size());
-    for (std::size_t j = 0; j < junctions_.size(); ++j) {
-      adjacency_[static_cast<std::size_t>(junctions_[j].a)].push_back(j);
-      adjacency_[static_cast<std::size_t>(junctions_[j].b)].push_back(j);
-    }
-  }
   require(n >= 0 && static_cast<std::size_t>(n) < nodes_.size(),
           "junctions_of: node out of range");
-  return adjacency_[static_cast<std::size_t>(n)];
+  return adjacency_.get([this] {
+    std::vector<std::vector<std::size_t>> adj(nodes_.size());
+    for (std::size_t j = 0; j < junctions_.size(); ++j) {
+      adj[static_cast<std::size_t>(junctions_[j].a)].push_back(j);
+      adj[static_cast<std::size_t>(junctions_[j].b)].push_back(j);
+    }
+    return adj;
+  })[static_cast<std::size_t>(n)];
 }
 
 const std::vector<std::size_t>& Circuit::coupled_junctions_of(NodeId n) const {
   require(n >= 0 && static_cast<std::size_t>(n) < nodes_.size(),
           "coupled_junctions_of: node out of range");
-  if (coupled_adjacency_.empty()) {
+  return coupled_adjacency_.get([this] {
     // Capacitive node-to-node adjacency (junction caps + capacitors).
     std::vector<std::vector<NodeId>> coupled_nodes(nodes_.size());
     auto couple = [&](NodeId a, NodeId b) {
@@ -167,9 +167,9 @@ const std::vector<std::size_t>& Circuit::coupled_junctions_of(NodeId n) const {
     for (const Junction& j : junctions_) couple(j.a, j.b);
     for (const Capacitor& c : capacitors_) couple(c.a, c.b);
 
-    coupled_adjacency_.resize(nodes_.size());
+    std::vector<std::vector<std::size_t>> adj(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      std::vector<std::size_t>& out = coupled_adjacency_[i];
+      std::vector<std::size_t>& out = adj[i];
       const NodeId self = static_cast<NodeId>(i);
       for (std::size_t j : junctions_of(self)) out.push_back(j);
       for (const NodeId nb : coupled_nodes[i]) {
@@ -185,8 +185,8 @@ const std::vector<std::size_t>& Circuit::coupled_junctions_of(NodeId n) const {
       std::sort(out.begin(), out.end());
       out.erase(std::unique(out.begin(), out.end()), out.end());
     }
-  }
-  return coupled_adjacency_[static_cast<std::size_t>(n)];
+    return adj;
+  })[static_cast<std::size_t>(n)];
 }
 
 std::vector<NodeId> Circuit::islands() const {

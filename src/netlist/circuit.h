@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "base/lazy.h"
 #include "netlist/waveform.h"
 
 namespace semsim {
@@ -122,7 +123,8 @@ class Circuit {
   bool superconducting() const noexcept { return sc_.has_value(); }
   const SuperconductingParams& superconducting_params() const;
 
-  /// Junction indices incident to node `n`. Built lazily, cached.
+  /// Junction indices incident to node `n`. Built lazily, cached; safe for
+  /// concurrent const callers.
   const std::vector<std::size_t>& junctions_of(NodeId n) const;
 
   /// Junctions incident to `n` OR to any node capacitively coupled to `n`
@@ -146,16 +148,15 @@ class Circuit {
   /// potential — is checked by ElectrostaticModel via Cholesky.)
   void validate() const;
 
-  /// Forces construction of the lazy adjacency caches. Parallel drivers
-  /// call this before sharing one circuit across engine-building workers:
-  /// afterwards every const member is safe for concurrent use (the caches
-  /// are the only mutable state).
+  /// Forces construction of the lazy adjacency caches (the only mutable
+  /// state; concurrent const access is safe either way). Parallel drivers
+  /// call this so the one-time build happens before the workers start.
   void build_caches() const;
 
  private:
   void invalidate_adjacency() noexcept {
-    adjacency_.clear();
-    coupled_adjacency_.clear();
+    adjacency_.reset();
+    coupled_adjacency_.reset();
   }
 
   std::vector<Node> nodes_;
@@ -164,8 +165,9 @@ class Circuit {
   std::vector<Waveform> sources_;            // indexed by node id
   std::vector<double> background_charge_e_;  // indexed by node id
   std::optional<SuperconductingParams> sc_;
-  mutable std::vector<std::vector<std::size_t>> adjacency_;
-  mutable std::vector<std::vector<std::size_t>> coupled_adjacency_;
+  // Node-indexed junction lists behind junctions_of/coupled_junctions_of.
+  Lazy<std::vector<std::vector<std::size_t>>> adjacency_;
+  Lazy<std::vector<std::vector<std::size_t>>> coupled_adjacency_;
 };
 
 }  // namespace semsim

@@ -2,10 +2,9 @@
 //
 // Three layers under test here:
 //
-//   * core/ensemble.h — the lockstep gang: every lane's trajectory must be
+//   * core/ensemble.h — lockstep rounds: every lane's trajectory must be
 //     bitwise identical to the same Engine stepping solo, through BOTH
-//     step_round() and the software-pipelined run_events() (double-buffered
-//     arena), and a faulted lane must die alone;
+//     step_round() and run_events(), and a faulted lane must die alone;
 //   * analysis/ensemble.h — replica determinism (thread-count invariant
 //     canonical documents, replica rows independent of the population
 //     size), perturbation purity, and per-replica fault degradation;
@@ -81,7 +80,7 @@ Circuit make_chain(int stages, double bias) {
   return c;
 }
 
-/// Plain measurement input (no sweep): the fused-gang driver shape.
+/// Plain measurement input (no sweep): one solo engine per replica.
 constexpr char kMeasureInput[] = R"(
 num ext 3
 num nodes 4
@@ -131,12 +130,12 @@ EngineOptions lane_options(std::uint64_t seed, double temperature,
   return o;
 }
 
-// ---- core lockstep gang: bitwise vs solo ----------------------------------
+// ---- core lockstep rounds: bitwise vs solo --------------------------------
 
 TEST(Lockstep, StepRoundTrajectoriesBitwiseIdenticalToSolo) {
-  // Four lanes on four DIFFERENT devices (distinct gate biases, so the lane
-  // segments in the shared arena have genuinely different ΔW populations),
-  // advanced round by round. Every lane's per-round event must match the
+  // Four lanes on four DIFFERENT devices (distinct gate biases, so the
+  // lanes have genuinely different ΔW populations), advanced round by
+  // round. Every lane's per-round event must match the
   // solo engine bit for bit — the central lockstep contract.
   const std::vector<double> gates = {0.0, 0.004, 0.009, 0.013};
   std::deque<Circuit> circuits;
@@ -170,11 +169,9 @@ TEST(Lockstep, StepRoundTrajectoriesBitwiseIdenticalToSolo) {
 }
 
 TEST(Lockstep, PipelinedRunEventsBitwiseIdenticalToSolo) {
-  // run_events() fuses phase B of round r with phase A of round r+1 over a
-  // double-buffered arena — a different interleaving ACROSS lanes than
-  // step_round(), which must not change a single per-lane bit. Fast-rates
-  // mode on an AVX2-era host also routes the fused pass through the packed
-  // kernel, so this doubles as its integration lockdown.
+  // run_events() drives many rounds per call, which must not change a
+  // single per-lane bit. Fast-rates mode on an AVX2-era host also routes
+  // every lane through the packed kernel.
   const std::vector<double> gates = {0.0, 0.004, 0.009, 0.013};
   constexpr std::uint64_t kEvents = 1500;
   std::deque<Circuit> circuits;
@@ -207,8 +204,8 @@ TEST(Lockstep, PipelinedRunEventsBitwiseIdenticalToSolo) {
 
 TEST(Lockstep, MixedRoundAndPipelinedDrivingStaysOnTheSoloTrajectory) {
   // Alternating step_round() and run_events() batches must stay on the solo
-  // trajectory: the pipelined drain (finish_round) may not leave a lane with
-  // a half-committed event behind.
+  // trajectory: no batch boundary may leave a lane with a half-finished
+  // event behind.
   Circuit c = make_set(0.02, 0.02, 0.007);
   const EngineOptions o = lane_options(5, 4.2, /*fast_rates=*/false);
   const std::vector<EventRecord> want = solo_trajectory(c, o, 1300);
@@ -233,7 +230,7 @@ TEST(Lockstep, MixedRoundAndPipelinedDrivingStaysOnTheSoloTrajectory) {
 
 TEST(Lockstep, FaultedLaneDiesAloneOthersBitwiseUntouched) {
   // Lane 1 is scheduled to corrupt a rate at event 120 (guard/fault.h); the
-  // gang must mark exactly that lane dead — with the invariant code — while
+  // rounds must mark exactly that lane dead — with the invariant code — while
   // the survivors' trajectories remain bitwise the solo ones.
   const std::vector<double> gates = {0.0, 0.006, 0.012};
   constexpr std::uint64_t kEvents = 800;
@@ -277,7 +274,7 @@ TEST(Lockstep, FaultedLaneDiesAloneOthersBitwiseUntouched) {
 }
 
 TEST(Lockstep, StuckAndGatedLanesDropOutOfRounds) {
-  // An unbiased SET at T = 0 is Coulomb-blockaded: its first step_begin
+  // An unbiased SET at T = 0 is Coulomb-blockaded: its first step()
   // returns false and the lane parks as `stuck` without poisoning the
   // round. A caller-gated lane (set_enabled) behaves the same way.
   std::deque<Circuit> circuits;
@@ -322,8 +319,8 @@ RunRequest ensemble_request(std::uint32_t replicas, unsigned threads = 1,
 }
 
 TEST(EnsembleDeterminism, CanonicalDocumentIsThreadCountInvariant) {
-  // 10 replicas = 3 gang tiles, sharded across 1 and 8 workers: the
-  // canonical v3 documents must be byte-identical (replica streams derive
+  // 10 replicas, sharded across 1 and 8 workers: the canonical v3
+  // documents must be byte-identical (replica streams derive
   // from the replica index, never the executing thread).
   const RunResult r1 = run(ensemble_request(10, 1));
   const RunResult r8 = run(ensemble_request(10, 8));
@@ -359,7 +356,7 @@ TEST(EnsembleDeterminism, ReplicaRowsIndependentOfPopulationSize) {
 
 TEST(EnsembleDeterminism, UnperturbedSingleReplicaMatchesSoloRunBitwise) {
   // The N = 1, zero-spread ensemble runs the solo device on the solo stream
-  // through the gang machinery: the measurement must be the non-ensemble
+  // through the ensemble driver: the measurement must be the non-ensemble
   // result bit for bit (the "N = 1 path identical" acceptance gate).
   RunRequest solo;
   solo.input = parse_simulation_input(kMeasureInput);
@@ -773,9 +770,9 @@ struct TempDir {
 };
 
 TEST(EnsembleServe, CancelLeavesReplicaSpoolAndResumeIsBitwise) {
-  // 12 replicas = 3 gang tiles on one worker. A sleep fault parks replica 4
-  // (tile 1) for half a second: tile 0's rows reach the spool, the cancel
-  // lands while tile 1 sleeps, and tile 2 is never started. The resubmitted
+  // 12 replicas on one worker. A sleep fault parks replica 4 for half a
+  // second: replicas 0-3 reach the spool, the cancel lands while replica 4
+  // sleeps, and replicas 5-11 are never started. The resubmitted
   // job restores the spooled replicas and completes to the SAME canonical
   // bytes as an uninterrupted direct run.
   const std::string want = run(ensemble_request(12)).to_json(/*canonical=*/true);

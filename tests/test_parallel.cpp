@@ -11,12 +11,14 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/driver.h"
 #include "analysis/sweep.h"
 #include "base/random.h"
 #include "base/thread_pool.h"
+#include "netlist/circuit.h"
 
 namespace semsim {
 namespace {
@@ -131,6 +133,57 @@ TEST(StreamSeeds, PureFunctionOfSeedAndIndex) {
   EXPECT_EQ(derive_stream_seed(42, 17), derive_stream_seed(42, 17));
   EXPECT_NE(derive_stream_seed(42, 17), derive_stream_seed(42, 18));
   EXPECT_NE(derive_stream_seed(42, 17), derive_stream_seed(43, 17));
+}
+
+// ---- one const circuit shared by workers ----------------------------------
+
+TEST(SharedCircuit, LazyAdjacencyIsSafeUnderConcurrentConstAccess) {
+  // Workers share one const Circuit whose adjacency caches are built
+  // lazily inside const calls. Racing first readers, in both orders and
+  // while another worker copies the circuit, must all see complete lists.
+  Circuit c;
+  const NodeId lead = c.add_external();
+  NodeId prev = lead;
+  for (int i = 0; i < 300; ++i) {
+    const NodeId island = c.add_island();
+    c.add_junction(prev, island, 1e6, 1e-18);
+    c.add_capacitor(island, Circuit::kGroundNode, 2e-18);
+    prev = island;
+  }
+  c.add_junction(prev, lead, 1e6, 1e-18);
+  const auto n_nodes = static_cast<NodeId>(c.node_count());
+
+  const Circuit serial = c;  // builds its own caches, single-threaded
+  std::vector<std::vector<std::size_t>> want_j, want_c;
+  for (NodeId n = 0; n < n_nodes; ++n) {
+    want_j.push_back(serial.junctions_of(n));
+    want_c.push_back(serial.coupled_junctions_of(n));
+  }
+
+  // The first call decides which cache a thread builds (or waits for).
+  const auto check = [&](const Circuit& shared, bool coupled_first) {
+    int bad = coupled_first && shared.coupled_junctions_of(1) != want_c[1];
+    for (NodeId n = 0; n < n_nodes; ++n) {
+      bad += shared.junctions_of(n) != want_j[n];
+      bad += shared.coupled_junctions_of(n) != want_c[n];
+    }
+    return bad;
+  };
+  constexpr int kThreads = 8;
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      if (t == 0) {
+        const Circuit copy = c;
+        bad[t] = check(copy, true);
+      } else {
+        bad[t] = check(c, t % 2 == 0);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[t], 0) << "thread " << t;
 }
 
 // ---- bitwise determinism of the analysis drivers -------------------------
