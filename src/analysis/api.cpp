@@ -5,6 +5,7 @@
 
 #include "base/random.h"
 #include "guard/retry.h"
+#include "io/envelope.h"
 #include "io/json.h"
 
 namespace semsim {
@@ -68,30 +69,16 @@ void write_iv_point(JsonWriter& w, const IvPoint& p) {
   w.end_object();
 }
 
-/// v3 "ensemble" object: the spec echo (table-driven from
-/// analysis/run_fields.inc — the same table the codec and fingerprint
-/// expand), per-replica rows, and cross-replica bands.
+/// v3 "ensemble" object: the spec echo (io/envelope.h write_spec_object,
+/// the writer the envelope encoder uses), per-replica rows, and
+/// cross-replica bands.
 void write_ensemble(JsonWriter& w, const EnsembleSpec& spec,
                     const EnsembleResult& e) {
   w.key("ensemble").begin_object();
   w.field("replicas", unsigned{e.replicas});
   w.field("seed", e.seed);  // effective (spec.seed or the run seed)
 
-  w.key("spec").begin_object();
-#define SEMSIM_FIELD_JSON_U64(name, v) w.field(name, std::uint64_t{v});
-#define SEMSIM_FIELD_JSON_U32(name, v) w.field(name, unsigned{v});
-#define SEMSIM_FIELD_JSON_F64(name, v) \
-  if (std::isfinite(v)) w.field(name, double{v});
-#define SEMSIM_FIELD_JSON_DIST(name, v) \
-  w.field(name, perturbation_dist_name(v));
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_JSON_##KIND(json_name, spec.member)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_JSON_U64
-#undef SEMSIM_FIELD_JSON_U32
-#undef SEMSIM_FIELD_JSON_F64
-#undef SEMSIM_FIELD_JSON_DIST
-  w.end_object();
+  write_spec_object(w, "spec", spec);
 
   w.key("replica_rows").begin_array();
   for (const ReplicaRow& r : e.rows) {
@@ -222,21 +209,10 @@ std::string RunResult::to_json(bool canonical) const {
   // v3: present only on ensemble runs; absent == exactly the v2 shape.
   if (driver.ensemble) write_ensemble(w, ensemble, *driver.ensemble);
 
-  // Partition spec echo, table-driven like the ensemble one; present only
+  // Partition spec echo, written like the ensemble one; present only
   // when the run was partitioned. The effective cluster count of the run
   // is counters.units.
-  if (partition.enabled) {
-    w.key("partition").begin_object();
-#define SEMSIM_FIELD_JSON_U32(name, v) w.field(name, unsigned{v});
-#define SEMSIM_FIELD_JSON_F64(name, v) \
-  if (std::isfinite(v)) w.field(name, double{v});
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_JSON_##KIND(json_name, partition.member)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_JSON_U32
-#undef SEMSIM_FIELD_JSON_F64
-    w.end_object();
-  }
+  if (partition.enabled) write_spec_object(w, "partition", partition);
 
   w.key("stats");
   write_solver_stats(w, driver.stats);

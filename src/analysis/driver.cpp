@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "analysis/api.h"
 #include "analysis/ensemble_driver.h"
@@ -288,39 +289,39 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
     w.f64(input.sweep->max);
     w.f64(input.sweep->step);
   }
-  // Options tail, expanded from the frozen-order field table. fast_rates
-  // selects a different (approximate) rate kernel, so runs are not
-  // resumable across the flag: it must change the fingerprint.
-#define SEMSIM_FIELD_FP_U64(v) w.u64(v);
-#define SEMSIM_FIELD_FP_U32(v) w.u32(v);
-#define SEMSIM_FIELD_FP_F64(v) w.f64(v);
-#define SEMSIM_FIELD_FP_BOOL(v) w.u8((v) ? 1 : 0);
-#define SEMSIM_FIELD_FP_DIST(v) w.u8(static_cast<std::uint8_t>(v));
-#define SEMSIM_RUN_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_FP_##KIND(options.member)
-#include "analysis/run_fields.inc"
-  // Ensemble appendix: ONLY when enabled, so every pre-ensemble fingerprint
-  // (and with it every existing checkpoint and cached result) is unchanged.
+  // Options tail, frozen order. fast_rates selects a different
+  // (approximate) rate kernel, so runs are not resumable across the flag:
+  // it must change the fingerprint.
+  w.u64(options.seed);
+  w.u8(options.adaptive ? 1 : 0);
+  w.u8(options.fast_rates ? 1 : 0);
+  w.u64(options.stop.max_events);
+  w.f64(options.stop.target_rel_error);
+  w.u64(options.stop.check_interval);
+  // Spec appendices, each field typed by its C++ type in for_each_field
+  // order. A spec contributes bytes ONLY when enabled, so every
+  // pre-ensemble / pre-partition fingerprint (and with it every existing
+  // checkpoint and cached result) is unchanged.
+  const auto field = [&w](const char*, const char*, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      w.u32(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      w.u64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w.f64(v);
+    } else {
+      w.u8(static_cast<std::uint8_t>(v));  // PerturbationSpec::Dist
+    }
+  };
   if (options.ensemble.enabled) {
     w.u8(1);
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_FP_##KIND(options.ensemble.member)
-#include "analysis/run_fields.inc"
+    for_each_field(options.ensemble, field);
   }
-  // Partition appendix, gated exactly like the ensemble one: a disabled
-  // spec contributes zero bytes, so pre-partition fingerprints (and every
-  // cached result/checkpoint keyed by them) stay byte-identical.
   if (options.partition.enabled) {
     w.u8(1);
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_FP_##KIND(options.partition.member)
-#include "analysis/run_fields.inc"
+    for_each_field(options.partition, field);
   }
-#undef SEMSIM_FIELD_FP_U64
-#undef SEMSIM_FIELD_FP_U32
-#undef SEMSIM_FIELD_FP_F64
-#undef SEMSIM_FIELD_FP_BOOL
-#undef SEMSIM_FIELD_FP_DIST
   return fnv1a64(w.bytes().data(), w.bytes().size());
 }
 

@@ -24,9 +24,9 @@ namespace semsim {
 /// (analysis/api.h) used to carry hand-mirrored copies of these fields —
 /// every addition risked drifting across api.h/driver.h/semsim_cli — so
 /// both are now this struct (RunRequest adds the parsed input on top). The
-/// fingerprinted scalar subset is additionally tabulated in
-/// analysis/run_fields.inc, which the fingerprint writer, the envelope
-/// codec and the CLI parsers expand mechanically.
+/// ensemble and partition spec fields are listed once, by for_each_field
+/// next to each spec, which the fingerprint writer, the envelope codec and
+/// the CLI flag parser walk.
 struct RunOptionsCore {
   std::uint64_t seed = 1;
   bool adaptive = true;   ///< false = conventional non-adaptive solver

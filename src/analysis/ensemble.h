@@ -23,8 +23,9 @@
 // fingerprint (only when enabled — a disabled spec leaves the fingerprint
 // byte-identical to pre-ensemble builds), and is serialized by the
 // `semsim.run_result/v3` document and the service envelope codec. The
-// scalar fields are declared once in analysis/run_fields.inc and mirrored
-// mechanically into the codec, the CLI parsers, and the fingerprint.
+// scalar fields are listed once, by for_each_field in
+// analysis/ensemble_spec.h, which the codec, the CLI flag parser and the
+// fingerprint walk.
 #pragma once
 
 #include <cstdint>

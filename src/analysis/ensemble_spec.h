@@ -2,19 +2,22 @@
 // service envelope codec (io/envelope.cpp — semsim_io, which semsim_analysis
 // links, not the reverse) can carry the spec without pulling the simulation
 // headers or a link-time cycle into the io layer. Everything here is
-// header-only except EnsembleSpec::validate (analysis/ensemble.cpp); the
-// codec performs its own strict parse-time checks and leaves semantic
-// validation to run_ensemble.
+// header-only, validate() included, so the codec rejects a bad spec with
+// the same rules run_ensemble applies.
 //
-// See analysis/ensemble.h for the full ensemble contract and
-// analysis/run_fields.inc for the single-source field table these scalars
-// are declared in.
+// for_each_field (below) is the one list of the spec's scalar fields: their
+// JSON name, CLI flag and fingerprint position are written there and
+// nowhere else. See analysis/ensemble.h for the full ensemble contract.
 #pragma once
 
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
+
+#include "base/error.h"
 
 namespace semsim {
 
@@ -76,10 +79,53 @@ struct EnsembleSpec {
   }
 
   /// Throws Error on structural nonsense (0 replicas, negative or
-  /// non-finite spreads, inverted yield window). Defined in
-  /// analysis/ensemble.cpp.
+  /// non-finite spreads, inverted yield window).
   void validate() const;
 };
+
+inline void validate_spread(const PerturbationSpec& p, const char* name) {
+  require(std::isfinite(p.spread) && p.spread >= 0.0,
+          std::string("ensemble: ") + name +
+              " spread must be finite and >= 0");
+}
+
+inline void EnsembleSpec::validate() const {
+  require(replicas >= 1, "ensemble: replicas must be >= 1");
+  validate_spread(bg_charge, "bg_charge");
+  validate_spread(resistance, "resistance");
+  validate_spread(capacitance, "capacitance");
+  validate_spread(temperature, "temperature");
+  require(std::isfinite(yield_min) && yield_min >= 0.0,
+          "ensemble: yield_min must be finite and >= 0");
+  require(yield_max > 0.0 && !std::isnan(yield_max),
+          "ensemble: yield_max must be > 0");
+  require(yield_min <= yield_max,
+          "ensemble: yield window is inverted (yield_min > yield_max)");
+}
+
+/// The scalar fields of an EnsembleSpec, listed once: calls
+/// f(json_name, cli_flag, member) per field. The JSON names live inside the
+/// "ensemble" object of the submit envelope and of the v3 result document;
+/// passing any of the flags enables the ensemble. The order is the run
+/// fingerprint's byte layout (the checkpoint and result-cache key), so it
+/// is FROZEN: append only. `enabled` is not listed; it is derived (section
+/// present / any flag given) and fingerprinted as the leading u8.
+template <class Spec, class F>
+  requires std::same_as<std::remove_const_t<Spec>, EnsembleSpec>
+void for_each_field(Spec& s, F&& f) {
+  f("replicas", "--ensemble", s.replicas);
+  f("seed", "--ensemble-seed", s.seed);
+  f("bg_spread", "--ensemble-bg-spread", s.bg_charge.spread);
+  f("bg_dist", "--ensemble-bg-dist", s.bg_charge.dist);
+  f("resistance_spread", "--ensemble-r-spread", s.resistance.spread);
+  f("resistance_dist", "--ensemble-r-dist", s.resistance.dist);
+  f("capacitance_spread", "--ensemble-c-spread", s.capacitance.spread);
+  f("capacitance_dist", "--ensemble-c-dist", s.capacitance.dist);
+  f("temperature_spread", "--ensemble-t-spread", s.temperature.spread);
+  f("temperature_dist", "--ensemble-t-dist", s.temperature.dist);
+  f("yield_min", "--ensemble-yield-min", s.yield_min);
+  f("yield_max", "--ensemble-yield-max", s.yield_max);
+}
 
 /// The seed every replica stream of this run derives from.
 inline std::uint64_t ensemble_effective_seed(const EnsembleSpec& spec,

@@ -5,12 +5,14 @@
 // engine headers or a link cycle into the io layer. Everything here is
 // header-only; the partition planner itself lives in core/partition.h.
 //
-// See analysis/run_fields.inc (SEMSIM_PARTITION_FIELD) for the
-// single-source field table these scalars are declared in.
+// for_each_field (below) is the one list of the spec's scalar fields, as
+// analysis/ensemble_spec.h has for EnsembleSpec.
 #pragma once
 
 #include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 
 #include "base/error.h"
 
@@ -52,5 +54,18 @@ struct PartitionSpec {
             "partition: coupling_threshold must be finite and > 0");
   }
 };
+
+/// The scalar fields of a PartitionSpec, listed once: calls
+/// f(json_name, cli_flag, member) per field. The JSON names live inside the
+/// "partition" object of the submit envelope and of the v3 result document;
+/// passing any of the flags enables partitioned execution. The order is
+/// the fingerprint appendix's byte layout, FROZEN like the ensemble one.
+template <class Spec, class F>
+  requires std::same_as<std::remove_const_t<Spec>, PartitionSpec>
+void for_each_field(Spec& s, F&& f) {
+  f("clusters", "--partitions", s.clusters);
+  f("window", "--partition-window", s.window);
+  f("coupling_threshold", "--partition-threshold", s.coupling_threshold);
+}
 
 }  // namespace semsim

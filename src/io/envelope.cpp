@@ -1,6 +1,10 @@
 #include "io/envelope.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "base/error.h"
 
@@ -101,148 +105,63 @@ FaultKind fault_kind_from(const std::string& name) {
   bad("unknown fault kind '" + name + "'");
 }
 
-// ---- ensemble section (field set generated from analysis/run_fields.inc) --
+// ---- spec sections (fields from for_each_field) ---------------------------
 
-void write_ensemble_object(JsonWriter& w, const EnsembleSpec& s) {
-  w.key("ensemble").begin_object();
-#define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_U32(member, json_name) \
-  w.field(json_name, unsigned{s.member});
-#define SEMSIM_FIELD_WRITE_BOOL(member, json_name) w.field(json_name, s.member);
-// Non-finite doubles have no JSON spelling; the parser's fallback restores
-// the default (yield_max -> +inf).
-#define SEMSIM_FIELD_WRITE_F64(member, json_name) \
-  if (std::isfinite(s.member)) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_DIST(member, json_name) \
-  w.field(json_name, perturbation_dist_name(s.member));
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_WRITE_##KIND(member, json_name)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_WRITE_U64
-#undef SEMSIM_FIELD_WRITE_U32
-#undef SEMSIM_FIELD_WRITE_BOOL
-#undef SEMSIM_FIELD_WRITE_F64
-#undef SEMSIM_FIELD_WRITE_DIST
-  w.end_object();
+/// The value a default-constructed Spec holds in its double field `name`.
+template <class Spec>
+double default_f64(const char* name) {
+  const Spec defaults{};
+  double out = 0.0;
+  for_each_field(defaults, [&](const char* json_name, const char*,
+                               const auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+      if (std::strcmp(json_name, name) == 0) out = v;
+    }
+  });
+  return out;
 }
 
-void check_ensemble_spread(double v, const char* what) {
-  if (!std::isfinite(v) || v < 0.0) {
-    bad(std::string("ensemble.") + what + " must be finite and >= 0");
-  }
-}
-
-EnsembleSpec parse_ensemble_object(const JsonValue& obj) {
-  EnsembleSpec s;
-  s.enabled = true;  // presence on the wire == enabled
-#define SEMSIM_FIELD_PARSE_U64(member, json_name) \
-  s.member = u64_field(obj, json_name, s.member);
-#define SEMSIM_FIELD_PARSE_U32(member, json_name)                  \
-  {                                                                \
-    const std::uint64_t v = u64_field(obj, json_name, s.member);   \
-    if (v > 0xFFFFFFFFULL) bad("ensemble." json_name " out of range"); \
-    s.member = static_cast<std::uint32_t>(v);                      \
-  }
-#define SEMSIM_FIELD_PARSE_BOOL(member, json_name) \
-  s.member = bool_field(obj, json_name, s.member);
-#define SEMSIM_FIELD_PARSE_F64(member, json_name) \
-  s.member = f64_field(obj, json_name, s.member);
-#define SEMSIM_FIELD_PARSE_DIST(member, json_name)                        \
-  if (const JsonValue* v = obj.find(json_name)) {                         \
-    std::string name;                                                     \
-    try {                                                                 \
-      name = v->as_string();                                              \
-    } catch (const Error&) {                                              \
-      bad("ensemble." json_name " must be a string");                     \
-    }                                                                     \
-    if (!perturbation_dist_from(name, &s.member)) {                       \
-      bad("ensemble." json_name ": unknown distribution '" + name + "'"); \
-    }                                                                     \
-  }
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_PARSE_##KIND(member, json_name)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_PARSE_U64
-#undef SEMSIM_FIELD_PARSE_U32
-#undef SEMSIM_FIELD_PARSE_BOOL
-#undef SEMSIM_FIELD_PARSE_F64
-#undef SEMSIM_FIELD_PARSE_DIST
-  // Structural checks mirroring EnsembleSpec::validate, as coded
-  // ParseErrors so the daemon rejects the line instead of failing the job.
-  if (s.replicas == 0) bad("ensemble.replicas must be >= 1");
-  check_ensemble_spread(s.bg_charge.spread, "bg_spread");
-  check_ensemble_spread(s.resistance.spread, "resistance_spread");
-  check_ensemble_spread(s.capacitance.spread, "capacitance_spread");
-  check_ensemble_spread(s.temperature.spread, "temperature_spread");
-  if (!std::isfinite(s.yield_min) || s.yield_min < 0.0) {
-    bad("ensemble.yield_min must be finite and >= 0");
-  }
-  if (std::isnan(s.yield_max) || s.yield_max <= 0.0) {
-    bad("ensemble.yield_max must be > 0");
-  }
-  if (s.yield_min > s.yield_max) {
-    bad("ensemble.yield_min must be <= ensemble.yield_max");
-  }
-  return s;
-}
-
-// ---- partition section (field set from analysis/run_fields.inc) -----------
-
-void write_partition_object(JsonWriter& w, const PartitionSpec& s) {
-  w.key("partition").begin_object();
-#define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_U32(member, json_name) \
-  w.field(json_name, unsigned{s.member});
-#define SEMSIM_FIELD_WRITE_BOOL(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_F64(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_WRITE_##KIND(member, json_name)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_WRITE_U64
-#undef SEMSIM_FIELD_WRITE_U32
-#undef SEMSIM_FIELD_WRITE_BOOL
-#undef SEMSIM_FIELD_WRITE_F64
-  w.end_object();
-}
-
-/// STRICT parse: unlike the ensemble object (whose unknown keys are
-/// ignored for forward compatibility), an unknown key inside "partition"
-/// rejects the request. The spec controls how the run decomposes; a typo'd
-/// knob silently running unpartitioned would look like a performance bug.
-PartitionSpec parse_partition_object(const JsonValue& obj) {
-  if (!obj.is_object()) bad("partition must be an object");
+/// Strict parse of one spec object ("ensemble" or "partition"). An unknown
+/// key, a mistyped value or a spec that Spec::validate rejects is a coded
+/// ParseError, so the daemon refuses the line instead of failing the job.
+template <class Spec>
+Spec parse_spec_object(const JsonValue& obj, const std::string& section) {
+  if (!obj.is_object()) bad("'" + section + "' must be an object");
+  Spec s;
   for (const auto& [key, value] : obj.members()) {
     (void)value;
     bool known = false;
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  if (key == json_name) known = true;
-#include "analysis/run_fields.inc"
-    if (!known) bad("partition: unknown field '" + key + "'");
+    for_each_field(s, [&](const char* json_name, const char*, const auto&) {
+      known = known || key == json_name;
+    });
+    if (!known) bad(section + ": unknown field '" + key + "'");
   }
-
-  PartitionSpec s;
   s.enabled = true;  // presence on the wire == enabled
-#define SEMSIM_FIELD_PARSE_U64(member, json_name) \
-  s.member = u64_field(obj, json_name, s.member);
-#define SEMSIM_FIELD_PARSE_U32(member, json_name)                        \
-  {                                                                      \
-    const std::uint64_t v = u64_field(obj, json_name, s.member);         \
-    if (v > 0xFFFFFFFFULL) bad("partition." json_name " out of range");  \
-    s.member = static_cast<std::uint32_t>(v);                            \
-  }
-#define SEMSIM_FIELD_PARSE_BOOL(member, json_name) \
-  s.member = bool_field(obj, json_name, s.member);
-#define SEMSIM_FIELD_PARSE_F64(member, json_name) \
-  s.member = f64_field(obj, json_name, s.member);
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_PARSE_##KIND(member, json_name)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_PARSE_U64
-#undef SEMSIM_FIELD_PARSE_U32
-#undef SEMSIM_FIELD_PARSE_BOOL
-#undef SEMSIM_FIELD_PARSE_F64
-  // Structural checks mirroring PartitionSpec::validate, as coded
-  // ParseErrors so the daemon rejects the line instead of failing the job.
+  for_each_field(s, [&](const char* json_name, const char*, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, double>) {
+      field = f64_field(obj, json_name, field);
+    } else if constexpr (std::is_same_v<T, PerturbationSpec::Dist>) {
+      const JsonValue* v = obj.find(json_name);
+      if (v == nullptr) return;
+      std::string dist;
+      try {
+        dist = v->as_string();
+      } catch (const Error&) {
+        bad(section + "." + json_name + " must be a string");
+      }
+      if (!perturbation_dist_from(dist, &field)) {
+        bad(section + "." + json_name + ": unknown distribution '" + dist +
+            "'");
+      }
+    } else {
+      const std::uint64_t v = u64_field(obj, json_name, field);
+      if (!std::in_range<T>(v)) {
+        bad(section + "." + json_name + " out of range");
+      }
+      field = static_cast<T>(v);
+    }
+  });
   try {
     s.validate();
   } catch (const Error& e) {
@@ -252,6 +171,31 @@ PartitionSpec parse_partition_object(const JsonValue& obj) {
 }
 
 }  // namespace
+
+template <class Spec>
+void write_spec_object(JsonWriter& w, const char* key, const Spec& spec) {
+  w.key(key).begin_object();
+  for_each_field(spec, [&](const char* json_name, const char*,
+                           const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, double>) {
+      if (std::isfinite(v) || std::bit_cast<std::uint64_t>(v) !=
+                                  std::bit_cast<std::uint64_t>(
+                                      default_f64<Spec>(json_name))) {
+        w.field(json_name, v);
+      }
+    } else if constexpr (std::is_same_v<T, PerturbationSpec::Dist>) {
+      w.field(json_name, perturbation_dist_name(v));
+    } else {
+      w.field(json_name, v);
+    }
+  });
+  w.end_object();
+}
+template void write_spec_object(JsonWriter&, const char*,
+                                const EnsembleSpec&);
+template void write_spec_object(JsonWriter&, const char*,
+                                const PartitionSpec&);
 
 const char* verb_name(RequestEnvelope::Verb verb) noexcept {
   for (const VerbSpelling& s : kVerbs) {
@@ -289,8 +233,12 @@ std::string encode_request_envelope(const RequestEnvelope& env) {
       w.field("strict", env.retry.strict);
       w.field("max_attempts", unsigned{env.retry.max_attempts});
       w.end_object();
-      if (env.ensemble.enabled) write_ensemble_object(w, env.ensemble);
-      if (env.partition.enabled) write_partition_object(w, env.partition);
+      if (env.ensemble.enabled) {
+        write_spec_object(w, "ensemble", env.ensemble);
+      }
+      if (env.partition.enabled) {
+        write_spec_object(w, "partition", env.partition);
+      }
       if (!env.fault.empty()) {
         w.key("fault").begin_array();
         for (const FaultSpec& f : env.fault.faults) {
@@ -413,11 +361,11 @@ RequestEnvelope parse_request_envelope(std::string_view line,
         env.retry.max_attempts = static_cast<std::uint32_t>(attempts);
       }
       if (const JsonValue* ensemble = doc.find("ensemble")) {
-        if (!ensemble->is_object()) bad("'ensemble' must be an object");
-        env.ensemble = parse_ensemble_object(*ensemble);
+        env.ensemble = parse_spec_object<EnsembleSpec>(*ensemble, "ensemble");
       }
       if (const JsonValue* partition = doc.find("partition")) {
-        env.partition = parse_partition_object(*partition);
+        env.partition =
+            parse_spec_object<PartitionSpec>(*partition, "partition");
       }
       if (const JsonValue* fault = doc.find("fault")) {
         if (!fault->is_array()) bad("'fault' must be an array");

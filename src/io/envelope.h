@@ -19,6 +19,7 @@
 //    "stop":{"max_events":0,"target_rel_error":0.0,"check_interval":0},
 //    "retry":{"strict":false,"max_attempts":3},
 //    "ensemble":{"replicas":64,"bg_spread":0.05,...},            // optional
+//    "partition":{"clusters":4,"window":0.0,...},                // optional
 //    "fault":[{"kind":"nan_rate","unit":0,"at_event":50,...}]}   // tests
 //   {"schema":"semsim.request/v1","verb":"status","job":3}
 //   ... and likewise result / cancel / stats / ping / shutdown.
@@ -83,20 +84,28 @@ struct RequestEnvelope {
   /// the full wire protocol. Empty for production requests.
   FaultPlan fault;
   /// Replica-population spec (analysis/ensemble_spec.h). Travels as an
-  /// optional "ensemble" object whose scalar fields come from the
-  /// SEMSIM_ENSEMBLE_FIELD table (analysis/run_fields.inc); absent on the
-  /// wire == disabled, so pre-ensemble (v2-era) requests parse unchanged.
+  /// optional "ensemble" object holding the fields its for_each_field
+  /// lists; absent on the wire == disabled, so pre-ensemble (v2-era)
+  /// requests parse unchanged.
   EnsembleSpec ensemble;
-  /// Domain-decomposition spec (core/partition_spec.h). Travels as an
-  /// optional "partition" object (SEMSIM_PARTITION_FIELD table) parsed
-  /// STRICTLY: an unknown key inside the object rejects the request — a
-  /// typo'd partition knob must not silently run unpartitioned. Absent on
-  /// the wire == disabled.
+  /// Domain-decomposition spec (core/partition_spec.h), the optional
+  /// "partition" object; absent on the wire == disabled. Both spec objects
+  /// are parsed STRICTLY: an unknown key rejects the request, since a
+  /// typo'd knob must not silently run with its default.
   PartitionSpec partition;
 };
 
 /// Stable verb spelling used on the wire ("submit", "status", ...).
 const char* verb_name(RequestEnvelope::Verb verb) noexcept;
+
+/// Writes `key` as an object holding every field for_each_field lists for
+/// the spec (EnsembleSpec or PartitionSpec), in that order. The envelope
+/// encoder and the v3 result document's spec echo both write through it.
+/// A non-finite double has no JSON number: one equal to the default
+/// (yield_max = +inf) is omitted and the parser restores it; any other is
+/// written as null, which the parser rejects.
+template <class Spec>
+void write_spec_object(JsonWriter& w, const char* key, const Spec& spec);
 
 /// Serializes an envelope to one JSON line (no trailing newline).
 std::string encode_request_envelope(const RequestEnvelope& env);

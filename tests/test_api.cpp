@@ -155,6 +155,41 @@ TEST(RunFacade, ToJsonRoundTripsThroughParser) {
   EXPECT_GT(doc.at("counters").at("units").as_number(), 0.0);
 }
 
+/// The fingerprint is the checkpoint and result-cache key, so its byte
+/// layout is frozen: these literals were computed by an earlier build, and
+/// a reordered, retyped or dropped field (core options, ensemble appendix,
+/// partition appendix) changes one of them.
+TEST(RunFacade, FingerprintsArePinnedLiterals) {
+  RunRequest plain;
+  plain.input = parse_simulation_input(std::string(kSetInput));
+  plain.seed = 11;
+  plain.adaptive = false;
+  plain.fast_rates = true;
+  plain.stop.max_events = 5000;
+  plain.stop.target_rel_error = 0.02;
+  plain.stop.check_interval = 256;
+  EXPECT_EQ(plain.fingerprint(), 0x11e153ab58dd66faULL);
+
+  RunRequest ens = plain;
+  ens.ensemble.enabled = true;
+  ens.ensemble.replicas = 6;
+  ens.ensemble.seed = 77;
+  ens.ensemble.bg_charge = {0.05, PerturbationSpec::Dist::kUniform};
+  ens.ensemble.resistance = {0.03, PerturbationSpec::Dist::kUniform};
+  ens.ensemble.capacitance = {0.02, PerturbationSpec::Dist::kUniform};
+  ens.ensemble.temperature = {0.01, PerturbationSpec::Dist::kUniform};
+  ens.ensemble.yield_min = 1e-12;
+  ens.ensemble.yield_max = 1e-9;
+  EXPECT_EQ(ens.fingerprint(), 0xb57c6271eea6edb3ULL);
+
+  RunRequest part = plain;
+  part.partition.enabled = true;
+  part.partition.clusters = 3;
+  part.partition.window = 2.5e-9;
+  part.partition.coupling_threshold = 0.04;
+  EXPECT_EQ(part.fingerprint(), 0x6d25b2e5db1cd17aULL);
+}
+
 TEST(RunFacade, MakeUnitEngineMatchesManualSeeding) {
   const SimulationInput input =
       parse_simulation_input(std::string(kSetInput));

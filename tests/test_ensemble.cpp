@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -703,7 +704,48 @@ TEST(EnsembleEnvelope, StrictParseRejectsGarbageSpecs) {
   EXPECT_EQ(reject(R"({"replicas":4,"yield_min":2,"yield_max":1})"),
             ErrorCode::kParseSyntax);
   EXPECT_EQ(reject(R"("not an object")"), ErrorCode::kParseSyntax);
+  EXPECT_EQ(reject(R"({"replicas":4,"bg_spread":null})"),
+            ErrorCode::kParseSyntax);
+  EXPECT_EQ(reject(R"({"replicas":4,"bg_spred":0.1})"),
+            ErrorCode::kParseSyntax);
   EXPECT_EQ(reject(R"({"replicas":4,"bg_spread":0.1})"), ErrorCode::kNone);
+}
+
+TEST(EnsembleEnvelope, NonFiniteValuesAreRejectedNotDropped) {
+  const auto round_trip = [](const EnsembleSpec& spec) {
+    RequestEnvelope env;
+    env.verb = RequestEnvelope::Verb::kSubmit;
+    env.netlist = kMeasureInput;
+    env.ensemble = spec;
+    return parse_request_envelope(encode_request_envelope(env)).ensemble;
+  };
+  EnsembleSpec base;
+  base.enabled = true;
+  base.replicas = 4;
+  // The default yield_max (+inf = no upper window) is the one non-finite
+  // value that is valid: omitted on the wire, restored by the parser.
+  EXPECT_EQ(round_trip(base).yield_max,
+            std::numeric_limits<double>::infinity());
+
+  // Every other non-finite value travels as null and is rejected, instead
+  // of being dropped and silently replaced by the default.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<EnsembleSpec> bad(6, base);
+  bad[0].bg_charge.spread = inf;
+  bad[1].resistance.spread = nan;
+  bad[2].capacitance.spread = -inf;
+  bad[3].yield_min = nan;
+  bad[4].yield_max = -inf;
+  bad[5].yield_max = nan;
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    try {
+      round_trip(bad[k]);
+      ADD_FAILURE() << "non-finite spec " << k << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseSyntax) << k;
+    }
+  }
 }
 
 // ---- serve daemon: served == direct, cache, cancel -> resume --------------

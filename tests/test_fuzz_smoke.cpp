@@ -165,25 +165,32 @@ TEST(FuzzSmoke, PartitionObjectRoundTripsAndRejectsUnknownFields) {
   env.seed = 7;
   env.partition.enabled = true;
   env.partition.clusters = 4;
+  env.ensemble.enabled = true;
+  env.ensemble.replicas = 3;
   const std::string line = encode_request_envelope(env);
 
   const RequestEnvelope back = parse_request_envelope(line, {});
   EXPECT_TRUE(back.partition.enabled);
   EXPECT_EQ(back.partition.clusters, 4u);
+  EXPECT_TRUE(back.ensemble.enabled);
+  EXPECT_EQ(back.ensemble.replicas, 3u);
 
-  // The partition object is parsed STRICTLY: a typo'd knob must reject the
-  // request instead of silently running unpartitioned (io/envelope.cpp).
-  const std::string marker = "\"partition\":{";
-  const std::size_t at = line.find(marker);
-  ASSERT_NE(at, std::string::npos) << line;
-  std::string bogus = line;
-  bogus.insert(at + marker.size(), "\"bogus\":1,");
-  try {
-    parse_request_envelope(bogus, {});
-    FAIL() << "unknown partition field was accepted: " << bogus;
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kParseSyntax);
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
+  // Both spec objects are parsed STRICTLY: a typo'd knob must reject the
+  // request instead of silently running with its default (io/envelope.cpp).
+  for (const std::string section : {"partition", "ensemble"}) {
+    const std::string marker = "\"" + section + "\":{";
+    const std::size_t at = line.find(marker);
+    ASSERT_NE(at, std::string::npos) << line;
+    std::string bogus = line;
+    bogus.insert(at + marker.size(), "\"bogus\":1,");
+    try {
+      parse_request_envelope(bogus, {});
+      FAIL() << "unknown " << section << " field was accepted: " << bogus;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseSyntax);
+      EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(section), std::string::npos);
+    }
   }
 }
 

@@ -15,10 +15,7 @@
 // equation and prints its currents next to the Monte-Carlo values (small
 // circuits only). Every value flag accepts both `--flag VALUE` and
 // `--flag=VALUE`.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -28,6 +25,8 @@
 #include "guard/exit_codes.h"
 #include "io/table_writer.h"
 #include "master/master_equation.h"
+
+#include "flags.h"
 
 using namespace semsim;
 
@@ -109,126 +108,6 @@ void usage(const char* argv0) {
       argv0, RunResult::kJsonSchema);
 }
 
-/// Matches `--name VALUE` (consuming the next argv) or `--name=VALUE`.
-bool flag_value(const std::string& a, const char* name, int argc, char** argv,
-                int& i, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (a.compare(0, len, name) == 0 && a.size() > len && a[len] == '=') {
-    *value = a.substr(len + 1);
-    return true;
-  }
-  if (a == name && i + 1 < argc) {
-    *value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-/// Strict decimal parse; anything but a plain non-negative integer is fatal.
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.find('-') != std::string::npos) {
-    std::fprintf(stderr, "%s: not a non-negative integer: %s\n", flag,
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: %s\n", flag, text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Ensemble flags, generated from the SEMSIM_ENSEMBLE_FIELD table
-/// (analysis/run_fields.inc). Passing any of them enables the ensemble.
-/// Returns true when `a` was one of them (and consumed its value).
-bool parse_ensemble_flag(const std::string& a, int argc, char** argv, int& i,
-                         EnsembleSpec* spec) {
-  std::string v;
-#define SEMSIM_FIELD_CLI_U64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_u64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_FIELD_CLI_U32(member, flag)                          \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                     \
-    const std::uint64_t n = parse_u64(flag, v);                     \
-    if (n == 0 || n > 0xFFFFFFFFULL) {                              \
-      std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str()); \
-      std::exit(2);                                                 \
-    }                                                               \
-    spec->member = static_cast<std::uint32_t>(n);                   \
-    spec->enabled = true;                                           \
-    return true;                                                    \
-  }
-#define SEMSIM_FIELD_CLI_F64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_f64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_FIELD_CLI_BOOL(member, flag)  // no boolean ensemble fields
-#define SEMSIM_FIELD_CLI_DIST(member, flag)                            \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                        \
-    if (!perturbation_dist_from(v, &spec->member)) {                   \
-      std::fprintf(stderr, "%s: unknown distribution '%s' (gaussian|uniform)\n", \
-                   flag, v.c_str());                                   \
-      std::exit(2);                                                    \
-    }                                                                  \
-    spec->enabled = true;                                              \
-    return true;                                                       \
-  }
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_CLI_##KIND(member, cli_flag)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_CLI_U64
-#undef SEMSIM_FIELD_CLI_U32
-#undef SEMSIM_FIELD_CLI_F64
-#undef SEMSIM_FIELD_CLI_BOOL
-#undef SEMSIM_FIELD_CLI_DIST
-  return false;
-}
-
-/// Partition flags, generated from the SEMSIM_PARTITION_FIELD table.
-/// Passing any of them enables partitioned execution.
-bool parse_partition_flag(const std::string& a, int argc, char** argv, int& i,
-                          PartitionSpec* spec) {
-  std::string v;
-#define SEMSIM_FIELD_CLI_U32(member, flag)                          \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                     \
-    const std::uint64_t n = parse_u64(flag, v);                     \
-    if (n == 0 || n > 0xFFFFFFFFULL) {                              \
-      std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str()); \
-      std::exit(2);                                                 \
-    }                                                               \
-    spec->member = static_cast<std::uint32_t>(n);                   \
-    spec->enabled = true;                                           \
-    return true;                                                    \
-  }
-#define SEMSIM_FIELD_CLI_F64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_f64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_CLI_##KIND(member, cli_flag)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_CLI_U32
-#undef SEMSIM_FIELD_CLI_F64
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -301,9 +180,9 @@ int main(int argc, char** argv) {
       json_path = v;
     } else if (a == "--master-check") {
       master_check = true;
-    } else if (parse_ensemble_flag(a, argc, argv, i, &req.ensemble)) {
+    } else if (parse_spec_flag(a, argc, argv, i, &req.ensemble)) {
       // handled (any ensemble flag enables the ensemble)
-    } else if (parse_partition_flag(a, argc, argv, i, &req.partition)) {
+    } else if (parse_spec_flag(a, argc, argv, i, &req.partition)) {
       // handled (any partition flag enables partitioned execution)
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
