@@ -14,8 +14,8 @@
 //
 // plus the two helpers the drivers themselves are built on —
 // engine_options_for() (one place that maps input + options to
-// EngineOptions) and make_unit_engine() (one place that seeds a work
-// unit's engine from (base_seed, unit)).
+// EngineOptions) and unit_engine_options() (one place that seeds a work
+// unit's engine from (base_seed, unit, attempt)).
 #pragma once
 
 #include <cstdint>
@@ -106,20 +106,11 @@ EngineOptions engine_options_for(const SimulationInput& input,
 /// seed replaced by retry_stream_seed(base_seed, unit, attempt) — exactly
 /// derive_stream_seed(base_seed, unit) for attempt 0 — and its fault
 /// injector rebound to (unit, attempt) so scheduled faults target the right
-/// engine instance and do not re-fire on retries.
+/// engine instance and do not re-fire on retries. Unit streams are what
+/// make sweeps and multi-seed runs bitwise thread-count independent: they
+/// depend on the unit index only, never on the executing thread.
 EngineOptions unit_engine_options(const EngineOptions& base,
                                   std::uint64_t base_seed, std::size_t unit,
                                   std::uint32_t attempt = 0);
-
-/// Engine for work unit `unit` of a parallel run: `base` with its seed
-/// replaced by derive_stream_seed(base_seed, unit), sharing `model` (one
-/// capacitance inversion across all units; pass nullptr to build privately).
-/// Unit engines are what make sweeps and multi-seed runs bitwise
-/// thread-count independent: the stream depends on the unit index only.
-/// `attempt` > 0 selects the re-derived retry stream (guard/retry.h).
-Engine make_unit_engine(const Circuit& circuit, const EngineOptions& base,
-                        std::uint64_t base_seed, std::size_t unit,
-                        std::shared_ptr<const ElectrostaticModel> model,
-                        std::uint32_t attempt = 0);
 
 }  // namespace semsim

@@ -35,6 +35,41 @@ CheckpointConfig checkpoint_config(const SimulationInput& input,
   return ckpt;
 }
 
+/// The recorded junctions' transferred charge [e] in `sim` (an Engine or a
+/// PartitionedEngine), one entry per probe.
+template <class Sim>
+std::vector<double> transferred_e(const Sim& sim,
+                                  const std::vector<CurrentProbe>& probes) {
+  std::vector<double> q;
+  for (const CurrentProbe& p : probes) {
+    q.push_back(sim.junction_transferred_e(p.junction));
+  }
+  return q;
+}
+
+/// Transfer-count current estimate, shared by the transient and the
+/// partitioned paths: the probes' mean current from the charge each passed
+/// since `q0` was taken at time `t0`. A probe without a `q0` entry (a run
+/// that stopped before its warm-up ended) contributes nothing.
+template <class Sim>
+CurrentEstimate transfer_current(const Sim& sim,
+                                 const std::vector<CurrentProbe>& probes,
+                                 const std::vector<double>& q0, double t0,
+                                 std::uint64_t events) {
+  CurrentEstimate est;
+  const double dt = sim.time() - t0;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const double q_end = sim.junction_transferred_e(probes[i].junction);
+    acc += probes[i].sign * kElementaryCharge *
+           (q_end - (i < q0.size() ? q0[i] : q_end));
+  }
+  est.mean = dt > 0.0 ? acc / static_cast<double>(probes.size()) / dt : 0.0;
+  est.sim_time = dt;
+  est.events = events;
+  return est;
+}
+
 /// The domain-decomposed measurement path (core/partition.h): one global
 /// trajectory advanced by per-cluster engines under conservative time
 /// windowing. Shape and estimator mirror the transient path — warm up,
@@ -73,10 +108,7 @@ DriverResult run_partitioned(const SimulationInput& input,
           "run_simulation: current measurement requires `record`");
 
   std::optional<ParallelExecutor> owned_exec;
-  if (options.executor == nullptr) owned_exec.emplace(options.threads);
-  const ParallelExecutor& exec =
-      options.executor != nullptr ? *options.executor : *owned_exec;
-  const CheckpointConfig ckpt = checkpoint_config(input, options);
+  const ParallelExecutor& exec = run_executor(options, owned_exec);
 
   const std::uint64_t jumps = input.max_jumps > 0 ? input.max_jumps : 10000;
   const std::uint64_t warmup = std::max<std::uint64_t>(jumps / 10, 100);
@@ -98,16 +130,8 @@ DriverResult run_partitioned(const SimulationInput& input,
   const ElectrostaticModel model(input.circuit);
   PartitionedEngine part(input.circuit, model, eo, options.partition, &exec);
 
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    BinaryWriter fp;
-    fp.u64(ckpt.fingerprint);
-    fp.str("partition");
-    fp.u64(kSlices);
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), kSlices + 1,
-        ckpt.require_existing, ckpt.salvage);
-  }
+  const std::unique_ptr<RunCheckpoint> cp =
+      open_run_checkpoint(input, options, "partition", kSlices, kSlices + 1);
   if (options.progress != nullptr) {
     options.progress->on_run_started(kSlices + 1, 0);
   }
@@ -189,10 +213,7 @@ DriverResult run_partitioned(const SimulationInput& input,
       warmed = true;
       warm_events = total;
       t0 = part.time();
-      q0.clear();
-      for (const CurrentProbe& p : probes) {
-        q0.push_back(part.junction_transferred_e(p.junction));
-      }
+      q0 = transferred_e(part, probes);
       if (next_unit == 0) {
         reach_milestone(0);
         next_unit = 1;
@@ -211,21 +232,12 @@ DriverResult run_partitioned(const SimulationInput& input,
   }
 
   DriverResult result;
-  CurrentEstimate est;
   if (!warmed) {
     // Exhausted before the warm-up target: measure nothing.
     t0 = part.time();
   }
-  const double dt = part.time() - t0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double q_end = part.junction_transferred_e(probes[i].junction);
-    acc += probes[i].sign * kElementaryCharge *
-           (q_end - (i < q0.size() ? q0[i] : q_end));
-  }
-  est.mean = dt > 0.0 ? acc / static_cast<double>(probes.size()) / dt : 0.0;
-  est.sim_time = dt;
-  est.events = part.total_events();
+  CurrentEstimate est =
+      transfer_current(part, probes, q0, t0, part.total_events());
   // Blocked standard error: eight contiguous blocks of barrier samples,
   // each contributing its own mean-current slope.
   if (sample_t.size() >= 16) {
@@ -250,13 +262,31 @@ DriverResult run_partitioned(const SimulationInput& input,
   result.counters.threads = exec.threads();
   result.counters.absorb(result.stats);
   result.counters.units = part.clusters();
-  result.counters.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+  result.counters.add_wall_since(wall0);
   return result;
 }
 
 }  // namespace
+
+const ParallelExecutor& run_executor(const DriverOptions& options,
+                                     std::optional<ParallelExecutor>& owned) {
+  if (options.executor != nullptr) return *options.executor;
+  return owned.emplace(options.threads);
+}
+
+std::unique_ptr<RunCheckpoint> open_run_checkpoint(
+    const SimulationInput& input, const DriverOptions& options,
+    const char* tag, std::uint64_t shape, std::size_t units) {
+  const CheckpointConfig ckpt = checkpoint_config(input, options);
+  if (!ckpt.enabled()) return nullptr;
+  BinaryWriter fp;
+  fp.u64(ckpt.fingerprint);
+  fp.str(tag);
+  fp.u64(shape);
+  return std::make_unique<RunCheckpoint>(
+      ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), units,
+      ckpt.require_existing, ckpt.salvage);
+}
 
 std::uint64_t run_fingerprint(const SimulationInput& input,
                               const DriverOptions& options) {
@@ -345,14 +375,8 @@ DriverResult run_simulation(const SimulationInput& input,
   std::vector<CurrentProbe> probes;
   for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
 
-  // The service daemon shares one long-lived pool across jobs; everyone
-  // else gets a private executor sized from the options. Either way the
-  // results are identical — thread count never affects them.
   std::optional<ParallelExecutor> owned_exec;
-  if (options.executor == nullptr) owned_exec.emplace(options.threads);
-  const ParallelExecutor& exec =
-      options.executor != nullptr ? *options.executor : *owned_exec;
-  const CheckpointConfig ckpt = checkpoint_config(input, options);
+  const ParallelExecutor& exec = run_executor(options, owned_exec);
 
   DriverResult result;
   if (input.sweep) {
@@ -371,7 +395,9 @@ DriverResult run_simulation(const SimulationInput& input,
     ParallelSweepConfig par;
     par.base_seed = options.seed;
     result.sweep = run_iv_sweep(input.circuit, eo, cfg, exec, par,
-                                &result.counters, ckpt, &result.integrity);
+                                &result.counters,
+                                checkpoint_config(input, options),
+                                &result.integrity);
     for (std::size_t i = 0; i < result.sweep.size(); ++i) {
       const IvPoint& p = result.sweep[i];
       if (p.status != PointStatus::kFailed) continue;
@@ -393,101 +419,70 @@ DriverResult run_simulation(const SimulationInput& input,
   if (input.max_time > 0.0) {
     // Fixed simulated span: a single transient, inherently serial. Measure
     // over the whole window after a warm-up tenth (paper: "until the
-    // desired simulation time is met").
+    // desired simulation time is met"). Unit 0 is the warm-up, units 1..N
+    // fixed time slices. Each slice boundary clamps one waiting-time draw
+    // and each snapshot canonicalizes, so — as on the partitioned path —
+    // EVERY run slices and snapshots; only the recording needs a checkpoint
+    // (unit k's payload subsumes all earlier ones).
+    constexpr std::uint64_t kSlices = 32;
     const auto wall0 = std::chrono::steady_clock::now();
     throw_if_cancelled(options.cancel, "transient");
     Engine engine(input.circuit, eo);
+    const std::unique_ptr<RunCheckpoint> cp =
+        open_run_checkpoint(input, options, "transient", kSlices, kSlices + 1);
     const double warmup_t = 0.1 * input.max_time;
     double t0 = 0.0;
     std::vector<double> q0;
-    if (!ckpt.enabled()) {
-      if (options.progress != nullptr) options.progress->on_run_started(1, 0);
-      engine.run_until(warmup_t);
-      t0 = engine.time();
-      for (const CurrentProbe& p : probes) {
-        q0.push_back(engine.junction_transferred_e(p.junction));
+    if (options.progress != nullptr) {
+      options.progress->on_run_started(kSlices + 1, 0);
+    }
+    const std::int64_t done = cp ? cp->last_unit() : -1;
+    if (done >= 0) {
+      const std::vector<std::uint8_t> bytes =
+          cp->payload(static_cast<std::size_t>(done));
+      BinaryReader r(bytes);
+      engine.restore(decode_engine_snapshot(r));
+      t0 = r.f64();
+      q0 = r.vec_f64();
+      r.require_done();
+    }
+    for (std::uint64_t k = static_cast<std::uint64_t>(done + 1); k <= kSlices;
+         ++k) {
+      throw_if_cancelled(options.cancel, "transient slice");
+      if (k == 0) {
+        engine.run_until(warmup_t);
+        t0 = engine.time();
+        q0 = transferred_e(engine, probes);
+      } else {
+        const double t_end =
+            k == kSlices
+                ? input.max_time
+                : warmup_t + static_cast<double>(k) *
+                                 (input.max_time - warmup_t) / kSlices;
+        engine.run_until(t_end);
       }
-      engine.run_until(input.max_time);
-    } else {
-      // Checkpointed transient: the run is cut into fixed time slices and
-      // the engine snapshot after each slice is recorded, so a crash loses
-      // at most one slice. Slicing itself perturbs the trajectory (each
-      // slice boundary clamps one waiting-time draw, and each snapshot
-      // performs a canonicalizing full refresh), so a checkpointed run is
-      // compared against a checkpointed run — interrupted + resumed is then
-      // bitwise identical to uninterrupted, because the slice grid is fixed
-      // by the configuration alone. Unit 0 is the warm-up, units 1..N the
-      // measurement slices; unit k's payload subsumes all earlier ones.
-      constexpr std::uint64_t kSlices = 32;
-      BinaryWriter fp;
-      fp.u64(ckpt.fingerprint);
-      fp.str("transient");
-      fp.u64(kSlices);
-      RunCheckpoint cp(ckpt.path,
-                       fnv1a64(fp.bytes().data(), fp.bytes().size()),
-                       kSlices + 1, ckpt.require_existing, ckpt.salvage);
-      if (options.progress != nullptr) {
-        options.progress->on_run_started(kSlices + 1, 0);
-      }
-      std::int64_t done = cp.last_unit();
-      if (done >= 0) {
-        const std::vector<std::uint8_t> bytes =
-            cp.payload(static_cast<std::size_t>(done));
-        BinaryReader r(bytes);
-        engine.restore(decode_engine_snapshot(r));
-        t0 = r.f64();
-        q0 = r.vec_f64();
-        r.require_done();
-      }
-      for (std::uint64_t k = static_cast<std::uint64_t>(done + 1);
-           k <= kSlices; ++k) {
-        throw_if_cancelled(options.cancel, "transient slice");
-        if (k == 0) {
-          engine.run_until(warmup_t);
-          t0 = engine.time();
-          q0.clear();
-          for (const CurrentProbe& p : probes) {
-            q0.push_back(engine.junction_transferred_e(p.junction));
-          }
-        } else {
-          const double t_end =
-              k == kSlices
-                  ? input.max_time
-                  : warmup_t + static_cast<double>(k) *
-                                   (input.max_time - warmup_t) / kSlices;
-          engine.run_until(t_end);
-        }
+      const EngineSnapshot snap = engine.snapshot();
+      if (cp) {
         BinaryWriter w;
-        encode_engine_snapshot(w, engine.snapshot());
+        encode_engine_snapshot(w, snap);
         w.f64(t0);
         w.vec_f64(q0);
-        cp.record(k, w.take());
-        if (options.progress != nullptr) {
-          options.progress->on_unit_done(static_cast<std::size_t>(k));
-        }
+        cp->record(k, w.take());
+      }
+      if (options.progress != nullptr) {
+        options.progress->on_unit_done(static_cast<std::size_t>(k));
       }
     }
     if (!probes.empty()) {
-      CurrentEstimate est;
-      const double dt = engine.time() - t0;
-      double acc = 0.0;
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        acc += probes[i].sign * kElementaryCharge *
-               (engine.junction_transferred_e(probes[i].junction) - q0[i]);
-      }
-      est.mean = dt > 0.0 ? acc / static_cast<double>(probes.size()) / dt : 0.0;
-      est.sim_time = dt;
-      est.events = engine.event_count();
-      result.current = est;
+      result.current =
+          transfer_current(engine, probes, q0, t0, engine.event_count());
     }
     result.simulated_time = engine.time();
     result.events = engine.event_count();
     result.stats = engine.stats();
     result.integrity.merge(engine.integrity_report());
     result.counters.threads = 1;
-    result.counters.wall_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-            .count();
+    result.counters.add_wall_since(wall0);
     result.counters.absorb(result.stats);
     return result;
   }
@@ -513,11 +508,8 @@ DriverResult run_simulation(const SimulationInput& input,
     SolverStats stats;
     /// Convergence mode only: the repeat's sample statistics.
     ConvergedCurrentResult converged;
-    // Fault isolation: attempts spent, and the last error when the repeat
-    // was retried (ok, code != kNone) or excluded entirely (!ok).
-    bool ok = true;
-    ErrorCode code = ErrorCode::kNone;
-    std::uint32_t attempts = 1;
+    /// Fault isolation: a failed repeat (!ok) is excluded from the merge.
+    RetryOutcome outcome;
     /// Audit trail across every attempt's engine (not checkpointed — the
     /// trail is a diagnostic, not part of the run identity).
     IntegrityReport integrity;
@@ -526,21 +518,13 @@ DriverResult run_simulation(const SimulationInput& input,
   StopCriterion stop = options.stop;
   if (use_convergence && stop.max_events == 0) stop.max_events = jumps;
 
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    BinaryWriter fp;
-    fp.u64(ckpt.fingerprint);
-    fp.str("repeats");
-    fp.u64(repeats);
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), repeats,
-        ckpt.require_existing, ckpt.salvage);
-  }
+  const std::unique_ptr<RunCheckpoint> cp =
+      open_run_checkpoint(input, options, "repeats", repeats, repeats);
   const auto encode_repeat = [&](const RepeatResult& r) {
     BinaryWriter w;
-    w.u8(r.ok ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(r.code));
-    w.u32(r.attempts);
+    w.u8(r.outcome.ok ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(r.outcome.code));
+    w.u32(r.outcome.attempts);
     w.f64(r.estimate.mean);
     w.f64(r.estimate.stderr_mean);
     w.f64(r.estimate.sim_time);
@@ -559,9 +543,9 @@ DriverResult run_simulation(const SimulationInput& input,
   const auto decode_repeat = [&](const std::vector<std::uint8_t>& bytes) {
     BinaryReader rd(bytes);
     RepeatResult r;
-    r.ok = rd.u8() != 0;
-    r.code = static_cast<ErrorCode>(rd.u32());
-    r.attempts = rd.u32();
+    r.outcome.ok = rd.u8() != 0;
+    r.outcome.code = static_cast<ErrorCode>(rd.u32());
+    r.outcome.attempts = rd.u32();
     r.estimate.mean = rd.f64();
     r.estimate.stderr_mean = rd.f64();
     r.estimate.sim_time = rd.f64();
@@ -595,58 +579,37 @@ DriverResult run_simulation(const SimulationInput& input,
         // Fault-isolated repeat: recoverable errors rebuild the engine on
         // the re-derived retry stream; an exhausted repeat is recorded as
         // failed and excluded from the merge instead of aborting the run.
-        std::uint32_t tried = 0;
-        ErrorCode last_code = ErrorCode::kNone;
         RepeatResult r;
         std::optional<Engine> slot;
-        for (;;) {
-          try {
-            slot.emplace(input.circuit,
-                         unit_engine_options(eo, options.seed, rpt, tried),
-                         model);
-            if (use_convergence) {
-              r.converged = measure_current_converged(*slot, probes,
-                                                      cfg.warmup_events, stop);
-              r.estimate = r.converged.estimate;
-            } else {
-              r.estimate = measure_mean_current(*slot, probes, cfg);
-            }
-            r.sim_time = slot->time();
-            r.stats += slot->stats();
-            r.integrity.merge(slot->integrity_report());
-            r.attempts = tried + 1;
-            if (tried > 0) r.code = last_code;  // retried, then succeeded
-            break;
-          } catch (Error& e) {
-            ++tried;
-            last_code =
-                e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-            if (slot) {
+        r.outcome = run_isolated(
+            options.retry,
+            [&](std::uint32_t attempt) {
+              slot.emplace(input.circuit,
+                           unit_engine_options(eo, options.seed, rpt, attempt),
+                           model);
+              if (use_convergence) {
+                r.converged = measure_current_converged(
+                    *slot, probes, cfg.warmup_events, stop);
+                r.estimate = r.converged.estimate;
+              } else {
+                r.estimate = measure_mean_current(*slot, probes, cfg);
+              }
+              r.sim_time = slot->time();
               r.stats += slot->stats();
               r.integrity.merge(slot->integrity_report());
-            }
-            if (options.retry.should_retry(last_code, tried)) {
-              retry_sleep(retry_backoff_seconds(options.retry, tried));
-              continue;
-            }
-            if (options.retry.strict) {
-              e.add_context("repeat " + std::to_string(rpt));
-              throw;
-            }
-            r.ok = false;
-            r.code = last_code;
-            r.attempts = tried;
-            break;
-          }
-        }
+            },
+            [&] {
+              if (!slot) return;
+              r.stats += slot->stats();
+              r.integrity.merge(slot->integrity_report());
+            },
+            [&] { return "repeat " + std::to_string(rpt); });
         if (cp) cp->record(rpt, encode_repeat(r));
         if (options.progress != nullptr) options.progress->on_unit_done(rpt);
         return r;
       });
   result.counters.threads = exec.threads();
-  result.counters.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.counters.add_wall_since(t0);
 
   // Merge in repeat-index order on this thread: every statistic below is
   // bitwise independent of the worker count. Failed repeats contribute
@@ -662,11 +625,11 @@ DriverResult run_simulation(const SimulationInput& input,
     result.stats += r.stats;
     result.counters.absorb(r.stats);
     result.integrity.merge(r.integrity);
-    if (!r.ok) {
+    if (!r.outcome.ok) {
       result.failures.push_back(
-          {rpt, r.code, r.attempts,
+          {rpt, r.outcome.code, r.outcome.attempts,
            "repeat " + std::to_string(rpt) + " failed:" +
-               error_code_name(r.code)});
+               error_code_name(r.outcome.code)});
       continue;
     }
     runs.add(r.estimate.mean);

@@ -224,18 +224,25 @@ void report_replica(const DriverOptions& options, RunCheckpoint* cp,
   }
 }
 
-// ---- plain-measurement path -----------------------------------------------
+// ---- per-replica execution ------------------------------------------------
 
-/// One solo Engine per replica on the replica's own stream, measured by
-/// measure_mean_current exactly like a single-device run. A replica whose
-/// engine throws retries on its re-derived stream (guard/retry.h), then
+/// One work unit per replica, on the replica's own streams. The plain
+/// fixed-budget measurement shape (no sweep, no transient window, no
+/// convergence stopping, one repeat) runs one solo Engine per replica,
+/// measured by measure_mean_current exactly like a single-device run;
+/// every other shape recurses into the single-device driver. A replica
+/// whose run throws retries on its re-derived stream (guard/retry.h), then
 /// degrades to a failed:<code> row; the other replicas never depend on it.
-std::vector<ReplicaOutcome> run_measure(const SimulationInput& input,
-                                        const DriverOptions& options,
-                                        const EnsembleSpec& spec,
-                                        std::uint64_t eff,
-                                        const ParallelExecutor& exec,
-                                        RunCheckpoint* cp) {
+std::vector<ReplicaOutcome> run_replicas(const SimulationInput& input,
+                                         const DriverOptions& options,
+                                         const EnsembleSpec& spec,
+                                         std::uint64_t eff,
+                                         const ParallelExecutor& exec,
+                                         RunCheckpoint* cp) {
+  const bool plain = !input.sweep.has_value() && input.max_time <= 0.0 &&
+                     std::max<std::uint32_t>(input.repeats, 1) == 1 &&
+                     !options.stop.convergence_enabled() &&
+                     !input.record_junctions.empty();
   std::vector<CurrentProbe> probes;
   for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
   const std::uint64_t jumps = input.max_jumps > 0 ? input.max_jumps : 10000;
@@ -243,11 +250,11 @@ std::vector<ReplicaOutcome> run_measure(const SimulationInput& input,
   cfg.measure_events = jumps;
   cfg.warmup_events = std::max<std::uint64_t>(jumps / 10, 100);
 
-  // One capacitance-matrix inversion for the whole ensemble when no
+  // One capacitance-matrix inversion for every plain replica when no
   // perturbation touches a capacitance (R, background charge and
   // temperature never enter the electrostatic model).
   std::shared_ptr<const ElectrostaticModel> shared_model;
-  if (!spec.capacitance.active()) {
+  if (plain && !spec.capacitance.active()) {
     shared_model = std::make_shared<const ElectrostaticModel>(input.circuit);
   }
 
@@ -264,132 +271,68 @@ std::vector<ReplicaOutcome> run_measure(const SimulationInput& input,
 
     const SimulationInput rep = materialize_replica(input, spec, eff, r);
     const EngineOptions eo = engine_options_for(rep, options);
-    std::uint32_t tried = 0;
-    ErrorCode last_code = ErrorCode::kNone;
-    for (;;) {
-      std::optional<Engine> engine;
-      try {
-        engine.emplace(rep.circuit, unit_engine_options(eo, eff, r, tried),
-                       shared_model);
-        const CurrentEstimate est = measure_mean_current(*engine, probes, cfg);
-        o.stats += engine->stats();
-        o.integrity.merge(engine->integrity_report());
-        o.row.code = last_code;  // kNone unless an earlier attempt failed
-        o.row.attempts = tried + 1;
-        o.row.current = est;
-        o.row.observable = est.mean;
-        o.row.sim_time = engine->time();
-        o.row.events = engine->event_count();
-        break;
-      } catch (Error& e) {
-        if (engine) {
+    std::optional<Engine> engine;  // the plain shape's engine
+    const RetryOutcome out = run_isolated(
+        options.retry,
+        [&](std::uint32_t attempt) {
+          if (plain) {
+            engine.emplace(rep.circuit,
+                           unit_engine_options(eo, eff, r, attempt),
+                           shared_model);
+            const CurrentEstimate est =
+                measure_mean_current(*engine, probes, cfg);
+            o.stats += engine->stats();
+            o.integrity.merge(engine->integrity_report());
+            o.row.current = est;
+            o.row.observable = est.mean;
+            o.row.sim_time = engine->time();
+            o.row.events = engine->event_count();
+            return;
+          }
+          // Every other shape recurses into the single-device driver: its
+          // own sweep chunking, convergence stopping and inner fault
+          // isolation, on a serial executor (the ensemble already shards
+          // across replicas), with all streams derived from the replica
+          // seed.
+          DriverOptions sub = options;
+          sub.ensemble = EnsembleSpec{};
+          sub.seed = retry_stream_seed(eff, r, attempt);
+          sub.threads = 1;
+          sub.executor = nullptr;
+          sub.checkpoint_path.clear();
+          sub.resume_path.clear();
+          sub.salvage_checkpoint = false;
+          sub.progress = nullptr;
+          DriverResult dr = run_simulation(rep, sub);
+          o.stats += dr.stats;
+          o.integrity.merge(dr.integrity);
+          for (const UnitFailure& f : dr.failures) {
+            o.inner_failures.push_back(
+                {f.unit, f.code, f.attempts,
+                 "replica " + std::to_string(r) + ": " + f.message});
+          }
+          o.row.sweep = std::move(dr.sweep);
+          if (dr.current) o.row.current = *dr.current;
+          o.row.sim_time = dr.simulated_time;
+          o.row.events = dr.events;
+          o.row.observable = o.row.current.mean;
+          if (input.sweep.has_value()) {
+            o.row.observable = 0.0;  // the peak |I| over the ok points
+            for (const IvPoint& p : o.row.sweep) {
+              if (p.status == PointStatus::kFailed) continue;
+              o.row.observable = std::max(o.row.observable, std::abs(p.current));
+            }
+          }
+        },
+        [&] {
+          if (!engine) return;
           o.stats += engine->stats();
           o.integrity.merge(engine->integrity_report());
-        }
-        ++tried;
-        last_code =
-            e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-        if (options.retry.should_retry(last_code, tried)) {
-          retry_sleep(retry_backoff_seconds(options.retry, tried));
-          continue;
-        }
-        if (options.retry.strict) {
-          e.add_context("replica " + std::to_string(r));
-          throw;
-        }
-        o.row.ok = false;
-        o.row.code = last_code;
-        o.row.attempts = tried;
-        break;
-      }
-    }
-    report_replica(options, cp, /*restored=*/false, r, o);
-    return o;
-  });
-}
-
-// ---- general path ---------------------------------------------------------
-
-std::vector<ReplicaOutcome> run_general(const SimulationInput& input,
-                                        const DriverOptions& options,
-                                        const EnsembleSpec& spec,
-                                        std::uint64_t eff,
-                                        const ParallelExecutor& exec,
-                                        RunCheckpoint* cp) {
-  const bool is_sweep = input.sweep.has_value();
-  return exec.map<ReplicaOutcome>(spec.replicas, [&](std::size_t ru) {
-    const std::uint32_t r = static_cast<std::uint32_t>(ru);
-    ReplicaOutcome o;
-    o.row.replica = r;
-    if (cp != nullptr && cp->has(r)) {
-      o = decode_outcome(cp->payload(r));
-      report_replica(options, cp, /*restored=*/true, r, o);
-      return o;
-    }
-    throw_if_cancelled(options.cancel, "ensemble replica");
-
-    std::uint32_t tried = 0;
-    ErrorCode last_code = ErrorCode::kNone;
-    for (;;) {
-      try {
-        const SimulationInput rep = materialize_replica(input, spec, eff, r);
-        // The replica recurses into the single-device driver: its own sweep
-        // chunking, convergence stopping and inner fault isolation, on a
-        // serial executor (the ensemble already shards across replicas),
-        // with all streams derived from the replica seed.
-        DriverOptions sub = options;
-        sub.ensemble = EnsembleSpec{};
-        sub.seed = retry_stream_seed(eff, r, tried);
-        sub.threads = 1;
-        sub.executor = nullptr;
-        sub.checkpoint_path.clear();
-        sub.resume_path.clear();
-        sub.salvage_checkpoint = false;
-        sub.progress = nullptr;
-        DriverResult dr = run_simulation(rep, sub);
-        o.stats += dr.stats;
-        o.integrity.merge(dr.integrity);
-        for (const UnitFailure& f : dr.failures) {
-          o.inner_failures.push_back(
-              {f.unit, f.code, f.attempts,
-               "replica " + std::to_string(r) + ": " + f.message});
-        }
-        o.row.sweep = std::move(dr.sweep);
-        if (dr.current) o.row.current = *dr.current;
-        o.row.sim_time = dr.simulated_time;
-        o.row.events = dr.events;
-        o.row.attempts = tried + 1;
-        if (tried > 0) o.row.code = last_code;
-        if (is_sweep) {
-          double peak = 0.0;
-          for (const IvPoint& p : o.row.sweep) {
-            if (p.status == PointStatus::kFailed) continue;
-            peak = std::max(peak, std::abs(p.current));
-          }
-          o.row.observable = peak;
-        } else {
-          o.row.observable = o.row.current.mean;
-        }
-        break;
-      } catch (Error& e) {
-        if (e.code() == ErrorCode::kCancelled) throw;
-        ++tried;
-        last_code =
-            e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-        if (options.retry.should_retry(last_code, tried)) {
-          retry_sleep(retry_backoff_seconds(options.retry, tried));
-          continue;
-        }
-        if (options.retry.strict) {
-          e.add_context("replica " + std::to_string(r));
-          throw;
-        }
-        o.row.ok = false;
-        o.row.code = last_code;
-        o.row.attempts = tried;
-        break;
-      }
-    }
+        },
+        [&] { return "replica " + std::to_string(r); });
+    o.row.ok = out.ok;
+    o.row.code = out.code;
+    o.row.attempts = out.attempts;
     report_replica(options, cp, /*restored=*/false, r, o);
     return o;
   });
@@ -406,29 +349,9 @@ DriverResult run_ensemble(const SimulationInput& input,
   const std::uint32_t n = spec.replicas;
 
   std::optional<ParallelExecutor> owned_exec;
-  if (options.executor == nullptr) owned_exec.emplace(options.threads);
-  const ParallelExecutor& exec =
-      options.executor != nullptr ? *options.executor : *owned_exec;
-
-  CheckpointConfig ckpt;
-  if (!options.resume_path.empty()) {
-    ckpt.path = options.resume_path;
-    ckpt.require_existing = true;
-  } else {
-    ckpt.path = options.checkpoint_path;
-  }
-  ckpt.salvage = options.salvage_checkpoint;
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    ckpt.fingerprint = run_fingerprint(input, options);
-    BinaryWriter fp;
-    fp.u64(ckpt.fingerprint);
-    fp.str("ensemble");
-    fp.u64(n);
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), n,
-        ckpt.require_existing, ckpt.salvage);
-  }
+  const ParallelExecutor& exec = run_executor(options, owned_exec);
+  const std::unique_ptr<RunCheckpoint> cp =
+      open_run_checkpoint(input, options, "ensemble", n, n);
 
   if (options.progress != nullptr) {
     options.progress->on_run_started(n, 0);
@@ -436,24 +359,13 @@ DriverResult run_ensemble(const SimulationInput& input,
   }
   input.circuit.build_caches();
 
-  // The plain fixed-budget measurement shape runs one engine per replica
-  // directly; sweeps, transients, convergence stopping and per-replica
-  // repeats go through the general per-replica recursion.
-  const bool plain = !input.sweep.has_value() && input.max_time <= 0.0 &&
-                     std::max<std::uint32_t>(input.repeats, 1) == 1 &&
-                     !options.stop.convergence_enabled() &&
-                     !input.record_junctions.empty();
-
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<ReplicaOutcome> outs =
-      plain ? run_measure(input, options, spec, eff, exec, cp.get())
-            : run_general(input, options, spec, eff, exec, cp.get());
+      run_replicas(input, options, spec, eff, exec, cp.get());
 
   DriverResult result;
   result.counters.threads = exec.threads();
-  result.counters.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.counters.add_wall_since(t0);
 
   // Merge in replica-index order on this thread: every statistic below is
   // bitwise independent of the worker count.

@@ -23,11 +23,6 @@ std::vector<double> sweep_points(const IvSweepConfig& cfg) {
   return points;
 }
 
-double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// One bias point: fixed-budget estimator, or the convergence-stopped one
 /// when the sweep config enables it.
 IvPoint measure_point(Engine& engine, const IvSweepConfig& cfg, double bias) {
@@ -52,66 +47,91 @@ IvPoint measure_point(Engine& engine, const IvSweepConfig& cfg, double bias) {
   return p;
 }
 
-/// Runs one bias point with fault isolation. `eng` is the unit's current
-/// engine; `rebuild(attempt)` must replace it with a fresh one on the retry
-/// stream `attempt` and repoint `eng`. Recoverable errors are retried under
-/// cfg.retry; an exhausted (or non-retryable) point degrades to a
-/// `failed:<code>` row with NaN values on a fresh engine, so the remaining
-/// points of the unit still run. In strict mode the first error is rethrown
-/// with the bias point prepended to its context chain.
-///
-/// `integrity` and `abandoned_stats`, when non-null, collect the audit
-/// trail and solver work of every engine discarded by a retry (the final
-/// engine is the caller's to harvest).
-template <typename Rebuild>
-IvPoint run_point_isolated(Engine*& eng, const IvSweepConfig& cfg,
+/// A work unit's current engine: the caller's engine (single-engine
+/// overloads) or a fresh one on the unit's stream (base_seed, unit).
+/// rebuild() replaces it with a fresh engine on the unit's next retry
+/// stream; the unit's remaining points then run on that one.
+class UnitEngine {
+ public:
+  explicit UnitEngine(Engine& engine)
+      : circuit_(engine.circuit()),
+        base_(engine.options()),
+        base_seed_(base_.seed),
+        unit_(base_.fault.unit()),
+        eng_(&engine) {}
+  UnitEngine(const Circuit& circuit, const EngineOptions& base,
+             std::uint64_t base_seed, std::size_t unit,
+             std::shared_ptr<const ElectrostaticModel> model)
+      : circuit_(circuit),
+        base_(base),
+        base_seed_(base_seed),
+        unit_(unit),
+        model_(std::move(model)),
+        eng_(&slot_.emplace(circuit, unit_engine_options(base, base_seed, unit),
+                            model_)) {}
+
+  Engine* operator->() const noexcept { return eng_; }
+  Engine& operator*() const noexcept { return *eng_; }
+
+  void rebuild() {
+    eng_ = &slot_.emplace(
+        circuit_, unit_engine_options(base_, base_seed_, unit_, ++attempt_),
+        model_);
+  }
+
+ private:
+  const Circuit& circuit_;
+  const EngineOptions base_;
+  const std::uint64_t base_seed_;
+  const std::size_t unit_;
+  std::shared_ptr<const ElectrostaticModel> model_;
+  std::optional<Engine> slot_;
+  Engine* eng_;
+  std::uint32_t attempt_ = 0;
+};
+
+/// Runs one bias point with fault isolation (guard/retry.h) on `eng`. A
+/// failed attempt's engine is harvested into `integrity` /
+/// `abandoned_stats` (when non-null; the final engine is the caller's to
+/// harvest) and, outside strict mode, rebuilt — for the retry, or for the
+/// remaining points of the unit once the point degrades to a
+/// `failed:<code>` row with NaN values.
+IvPoint run_point_isolated(UnitEngine& eng, const IvSweepConfig& cfg,
                            std::size_t index, double bias,
-                           std::uint32_t& stream_attempt, Rebuild&& rebuild,
                            IntegrityReport* integrity,
                            SolverStats* abandoned_stats) {
   throw_if_cancelled(cfg.cancel, "bias point");
-  std::uint32_t tried = 0;
-  ErrorCode last_code = ErrorCode::kNone;
-  for (;;) {
-    try {
-      eng->set_dc_source(cfg.swept, bias);
-      if (cfg.mirror >= 0) eng->set_dc_source(cfg.mirror, -bias);
-      eng->rebase_time();  // blockade points can leave t at ~1e17 s
-      IvPoint p = measure_point(*eng, cfg, bias);
-      p.attempts = tried + 1;
-      if (tried > 0) {
-        p.status = PointStatus::kRetried;
-        p.error = last_code;
-      }
-      return p;
-    } catch (Error& e) {
-      ++tried;
-      last_code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-      if (integrity != nullptr) integrity->merge(eng->integrity_report());
-      if (abandoned_stats != nullptr) *abandoned_stats += eng->stats();
-      if (cfg.retry.should_retry(last_code, tried)) {
-        retry_sleep(retry_backoff_seconds(cfg.retry, tried));
-        rebuild(++stream_attempt);
-        continue;
-      }
-      if (cfg.retry.strict) {
-        e.add_context("bias point " + std::to_string(index) + " (V = " +
-                      std::to_string(bias) + ")");
-        throw;
-      }
-      // Degrade: NaN row, fresh engine for the remaining points.
-      rebuild(++stream_attempt);
-      IvPoint p;
-      p.bias = bias;
-      p.current = std::numeric_limits<double>::quiet_NaN();
-      p.stderr_mean = p.current;
-      p.rel_error = p.current;
-      p.status = PointStatus::kFailed;
-      p.error = last_code;
-      p.attempts = tried;
-      return p;
-    }
+  IvPoint p;
+  const RetryOutcome out = run_isolated(
+      cfg.retry,
+      [&](std::uint32_t) {
+        eng->set_dc_source(cfg.swept, bias);
+        if (cfg.mirror >= 0) eng->set_dc_source(cfg.mirror, -bias);
+        eng->rebase_time();  // blockade points can leave t at ~1e17 s
+        p = measure_point(*eng, cfg, bias);
+      },
+      [&] {
+        if (integrity != nullptr) integrity->merge(eng->integrity_report());
+        if (abandoned_stats != nullptr) *abandoned_stats += eng->stats();
+        if (!cfg.retry.strict) eng.rebuild();
+      },
+      [&] {
+        return "bias point " + std::to_string(index) + " (V = " +
+               std::to_string(bias) + ")";
+      });
+  if (!out.ok) {
+    p = IvPoint{};
+    p.bias = bias;
+    p.current = std::numeric_limits<double>::quiet_NaN();
+    p.stderr_mean = p.current;
+    p.rel_error = p.current;
   }
+  p.status = !out.ok             ? PointStatus::kFailed
+             : out.attempts > 1 ? PointStatus::kRetried
+                                : PointStatus::kOk;
+  p.error = out.code;
+  p.attempts = out.attempts;
+  return p;
 }
 
 /// The sweep checkpoint fingerprint covers everything that defines the
@@ -190,26 +210,14 @@ std::vector<IvPoint> run_iv_sweep(Engine& engine, const IvSweepConfig& cfg) {
   require(cfg.to >= cfg.from, "run_iv_sweep: to < from");
   require(!cfg.probes.empty(), "run_iv_sweep: no recorded junctions");
 
-  // Retry support for the single-engine overload: a failed point replaces
-  // the caller's (warm-started) engine with a locally owned one on a salted
-  // stream. The caller's engine object itself is never reseeded.
-  const EngineOptions base = engine.options();
-  std::optional<Engine> spare;
-  Engine* eng = &engine;
-  std::uint32_t stream_attempt = 0;
-  const auto rebuild = [&](std::uint32_t attempt) {
-    EngineOptions eo = base;
-    eo.seed = retry_stream_seed(base.seed, base.fault.unit(), attempt);
-    eo.fault = base.fault.for_attempt(attempt);
-    spare.emplace(engine.circuit(), eo);
-    eng = &*spare;
-  };
-
+  // A failed point continues on a locally owned engine on a salted stream;
+  // the caller's (warm-started) engine object itself is never reseeded.
+  UnitEngine eng(engine);
   const std::vector<double> biases = sweep_points(cfg);
   std::vector<IvPoint> points;
   for (std::size_t i = 0; i < biases.size(); ++i) {
-    points.push_back(run_point_isolated(eng, cfg, i, biases[i], stream_attempt,
-                                        rebuild, nullptr, nullptr));
+    points.push_back(
+        run_point_isolated(eng, cfg, i, biases[i], nullptr, nullptr));
   }
   return points;
 }
@@ -271,21 +279,10 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
     }
     throw_if_cancelled(cfg.cancel, "sweep chunk");
     IntegrityReport* report = integrity != nullptr ? &unit_reports[u] : nullptr;
-    std::optional<Engine> slot;
-    slot.emplace(circuit, unit_engine_options(options, par.base_seed, u, 0),
-                 model);
-    Engine* eng = &*slot;
-    std::uint32_t stream_attempt = 0;
+    UnitEngine eng(circuit, options, par.base_seed, u, model);
     SolverStats acc{};
-    const auto rebuild = [&](std::uint32_t attempt) {
-      slot.emplace(circuit,
-                   unit_engine_options(options, par.base_seed, u, attempt),
-                   model);
-      eng = &*slot;
-    };
     for (std::size_t i = begin; i < end; ++i) {
-      out[i] = run_point_isolated(eng, cfg, i, points[i], stream_attempt,
-                                  rebuild, report, &acc);
+      out[i] = run_point_isolated(eng, cfg, i, points[i], report, &acc);
     }
     acc += eng->stats();
     if (report != nullptr) report->merge(eng->integrity_report());
@@ -303,7 +300,7 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
   });
   if (counters != nullptr) {
     counters->threads = exec.threads();
-    counters->wall_seconds += wall_seconds_since(t0);
+    counters->add_wall_since(t0);
     for (const SolverStats& s : unit_stats) counters->absorb(s);
   }
   if (integrity != nullptr) {
@@ -336,59 +333,41 @@ IvSweepConfig sweep_config_from_input(const SimulationInput& input) {
 namespace {
 
 /// One gate row of a stability map with per-cell fault isolation; the same
-/// retry semantics as run_point_isolated, plus re-applying the row's gate
+/// semantics as run_point_isolated, plus re-applying the row's gate
 /// voltage after every engine rebuild.
-template <typename Rebuild>
-void run_map_row(Engine*& eng, const StabilityMapConfig& cfg, std::size_t g,
-                 std::uint32_t& stream_attempt, Rebuild&& rebuild,
-                 std::vector<double>& row,
+void run_map_row(UnitEngine& eng, const StabilityMapConfig& cfg,
+                 std::size_t g, std::vector<double>& row,
                  std::vector<MapCellStatus>* degraded,
                  IntegrityReport* integrity, SolverStats* abandoned_stats) {
   const double gate = cfg.gate_values[g];
   eng->set_dc_source(cfg.gate_node, gate);
   for (std::size_t b = 0; b < cfg.bias_values.size(); ++b) {
     const double v = cfg.bias_values[b];
-    std::uint32_t tried = 0;
-    ErrorCode last_code = ErrorCode::kNone;
-    for (;;) {
-      try {
-        eng->set_dc_source(cfg.bias_node, v);
-        if (cfg.mirror >= 0) eng->set_dc_source(cfg.mirror, -v);
-        eng->rebase_time();
-        const CurrentEstimate est =
-            measure_mean_current(*eng, cfg.probes, cfg.measure);
-        row[b] = std::fabs(est.mean);
-        if (tried > 0 && degraded != nullptr) {
-          degraded->push_back(
-              {g, b, PointStatus::kRetried, last_code, tried + 1});
-        }
-        break;
-      } catch (Error& e) {
-        ++tried;
-        last_code =
-            e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-        if (integrity != nullptr) integrity->merge(eng->integrity_report());
-        if (abandoned_stats != nullptr)
-          *abandoned_stats += eng->stats();
-        if (cfg.retry.should_retry(last_code, tried)) {
-          retry_sleep(retry_backoff_seconds(cfg.retry, tried));
-          rebuild(++stream_attempt);
+    const RetryOutcome out = run_isolated(
+        cfg.retry,
+        [&](std::uint32_t) {
+          eng->set_dc_source(cfg.bias_node, v);
+          if (cfg.mirror >= 0) eng->set_dc_source(cfg.mirror, -v);
+          eng->rebase_time();
+          row[b] = std::fabs(measure_mean_current(*eng, cfg.probes, cfg.measure)
+                                 .mean);
+        },
+        [&] {
+          if (integrity != nullptr) integrity->merge(eng->integrity_report());
+          if (abandoned_stats != nullptr) *abandoned_stats += eng->stats();
+          if (cfg.retry.strict) return;
+          eng.rebuild();
           eng->set_dc_source(cfg.gate_node, gate);
-          continue;
-        }
-        if (cfg.retry.strict) {
-          e.add_context("stability map cell (gate row " + std::to_string(g) +
-                        ", bias column " + std::to_string(b) + ")");
-          throw;
-        }
-        rebuild(++stream_attempt);
-        eng->set_dc_source(cfg.gate_node, gate);
-        row[b] = std::numeric_limits<double>::quiet_NaN();
-        if (degraded != nullptr) {
-          degraded->push_back({g, b, PointStatus::kFailed, last_code, tried});
-        }
-        break;
-      }
+        },
+        [&] {
+          return "stability map cell (gate row " + std::to_string(g) +
+                 ", bias column " + std::to_string(b) + ")";
+        });
+    if (!out.ok) row[b] = std::numeric_limits<double>::quiet_NaN();
+    if (degraded != nullptr && (!out.ok || out.attempts > 1)) {
+      degraded->push_back(
+          {g, b, out.ok ? PointStatus::kRetried : PointStatus::kFailed,
+           out.code, out.attempts});
     }
   }
 }
@@ -399,22 +378,11 @@ std::vector<std::vector<double>> run_stability_map(
     Engine& engine, const StabilityMapConfig& cfg, StabilityMapReport* report) {
   require(!cfg.probes.empty(), "run_stability_map: no recorded junctions");
 
-  const EngineOptions base = engine.options();
-  std::optional<Engine> spare;
-  Engine* eng = &engine;
-  std::uint32_t stream_attempt = 0;
-  const auto rebuild = [&](std::uint32_t attempt) {
-    EngineOptions eo = base;
-    eo.seed = retry_stream_seed(base.seed, base.fault.unit(), attempt);
-    eo.fault = base.fault.for_attempt(attempt);
-    spare.emplace(engine.circuit(), eo);
-    eng = &*spare;
-  };
-
+  UnitEngine eng(engine);
   std::vector<std::vector<double>> map(
       cfg.gate_values.size(), std::vector<double>(cfg.bias_values.size(), 0.0));
   for (std::size_t g = 0; g < cfg.gate_values.size(); ++g) {
-    run_map_row(eng, cfg, g, stream_attempt, rebuild, map[g],
+    run_map_row(eng, cfg, g, map[g],
                 report != nullptr ? &report->degraded : nullptr,
                 report != nullptr ? &report->integrity : nullptr, nullptr);
   }
@@ -441,19 +409,9 @@ std::vector<std::vector<double>> run_stability_map(
   std::vector<IntegrityReport> row_reports(report != nullptr ? n_rows : 0);
   const auto t0 = std::chrono::steady_clock::now();
   exec.for_each(n_rows, [&](std::size_t g) {
-    std::optional<Engine> slot;
-    slot.emplace(circuit, unit_engine_options(options, par.base_seed, g, 0),
-                 model);
-    Engine* eng = &*slot;
-    std::uint32_t stream_attempt = 0;
+    UnitEngine eng(circuit, options, par.base_seed, g, model);
     SolverStats acc{};
-    const auto rebuild = [&](std::uint32_t attempt) {
-      slot.emplace(circuit,
-                   unit_engine_options(options, par.base_seed, g, attempt),
-                   model);
-      eng = &*slot;
-    };
-    run_map_row(eng, cfg, g, stream_attempt, rebuild, map[g],
+    run_map_row(eng, cfg, g, map[g],
                 report != nullptr ? &row_degraded[g] : nullptr,
                 report != nullptr ? &row_reports[g] : nullptr, &acc);
     acc += eng->stats();
@@ -462,7 +420,7 @@ std::vector<std::vector<double>> run_stability_map(
   });
   if (counters != nullptr) {
     counters->threads = exec.threads();
-    counters->wall_seconds += wall_seconds_since(t0);
+    counters->add_wall_since(t0);
     for (const SolverStats& s : unit_stats) counters->absorb(s);
   }
   if (report != nullptr) {

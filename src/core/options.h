@@ -1,6 +1,7 @@
 // Configuration of the SEMSIM Monte-Carlo engine.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 
 #include "guard/fault.h"
@@ -145,6 +146,13 @@ struct RunCounters {
         s.rate_evaluations + s.cp_rate_evaluations + s.cot_rate_evaluations;
     flags_raised += s.junctions_flagged;
     full_refreshes += s.full_refreshes;
+  }
+
+  /// Adds the wall time elapsed since `t0` to wall_seconds.
+  void add_wall_since(std::chrono::steady_clock::time_point t0) noexcept {
+    wall_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
   }
 };
 

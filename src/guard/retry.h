@@ -1,9 +1,13 @@
-// Fault-isolated retry policy for sweep points and repeat units.
+// Fault-isolated retry: the one loop every work unit runs under.
 //
-// When one bias point of a long sweep throws a recoverable error (numeric,
-// invariant, or timeout — see severity_of in base/error.h), the drivers in
-// analysis/sweep rebuild the unit's engine with a RE-DERIVED RNG stream and
-// try again instead of aborting the whole run. Determinism contract:
+// When one work unit throws a recoverable error (numeric, invariant, or
+// timeout — see severity_of in base/error.h), run_isolated retries it on a
+// RE-DERIVED RNG stream instead of aborting the whole run, then degrades
+// it to a recorded failure once the attempts are spent. Its five users
+// each supply only the unit body: a sweep bias point and a stability-map
+// cell (analysis/sweep.cpp), a `jumps <n> <repeats>` repeat
+// (analysis/driver.cpp), and an ensemble replica on the measurement and on
+// the general path (analysis/ensemble.cpp). Determinism contract:
 //
 //   * attempt 0 uses exactly derive_stream_seed(base_seed, unit), so a run
 //     where nothing fails is bitwise identical to a run without the retry
@@ -60,5 +64,51 @@ double retry_backoff_seconds(const RetryPolicy& policy,
 
 /// Sleeps for `seconds` (no-op for <= 0).
 void retry_sleep(double seconds);
+
+/// How a fault-isolated unit ended. `code` is the last attempt's error:
+/// kNone when the first attempt succeeded, set on a retried success
+/// (ok, attempts > 1) and on a degraded unit (!ok).
+struct RetryOutcome {
+  bool ok = true;
+  ErrorCode code = ErrorCode::kNone;
+  std::uint32_t attempts = 1;
+};
+
+/// Runs one work unit under `policy`. `attempt(k)` executes attempt k
+/// (0-based; the caller derives the attempt's stream from k) and throws a
+/// coded Error on failure. `discard()` runs after every failed attempt,
+/// before the retry decision: it harvests the failed engine's work and
+/// audit trail and, where the unit keeps one engine across points,
+/// replaces it. A retryable code sleeps the backoff and tries again; in
+/// strict mode the first error is rethrown with `context()` prepended to
+/// its context chain; otherwise the unit degrades to a failed outcome.
+/// kCancelled is always rethrown untouched — a cancel is never a unit
+/// failure.
+template <typename Attempt, typename Discard, typename Context>
+RetryOutcome run_isolated(const RetryPolicy& policy, Attempt&& attempt,
+                          Discard&& discard, Context&& context) {
+  std::uint32_t tried = 0;
+  ErrorCode last_code = ErrorCode::kNone;
+  for (;;) {
+    try {
+      attempt(tried);
+      return {true, last_code, tried + 1};
+    } catch (Error& e) {
+      if (e.code() == ErrorCode::kCancelled) throw;
+      ++tried;
+      last_code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
+      discard();
+      if (policy.should_retry(last_code, tried)) {
+        retry_sleep(retry_backoff_seconds(policy, tried));
+        continue;
+      }
+      if (policy.strict) {
+        e.add_context(context());
+        throw;
+      }
+      return {false, last_code, tried};
+    }
+  }
+}
 
 }  // namespace semsim

@@ -195,7 +195,7 @@ TEST(RunFacade, MakeUnitEngineMatchesManualSeeding) {
       parse_simulation_input(std::string(kSetInput));
   const EngineOptions base = engine_options_for(input, DriverOptions{});
 
-  Engine a = make_unit_engine(input.circuit, base, 42, 3, nullptr);
+  Engine a(input.circuit, unit_engine_options(base, 42, 3));
   EngineOptions manual = base;
   manual.seed = derive_stream_seed(42, 3);
   Engine b(input.circuit, manual);

@@ -421,12 +421,22 @@ time 2e-7
 )";
 
 TEST(DriverResume, TransientInterruptedAndResumedIsBitwiseIdentical) {
-  // Transient slicing perturbs the trajectory relative to an unsliced run
-  // (each snapshot canonicalizes the engine), so the reference here is the
-  // COMPLETE checkpointed run — interrupted + resumed must match it exactly.
+  // Every transient runs the same fixed slice grid and snapshots after each
+  // slice, whether or not a checkpoint file is open, so a plain run, the
+  // complete checkpointed run and an interrupted + resumed run are one
+  // trajectory.
   TempFile tmp("/tmp/semsim_ckpt_transient.bin");
   const DriverResult ref = run_input(kTransientInput, 1, tmp.path);
   ASSERT_TRUE(ref.current.has_value());
+
+  const DriverResult plain = run_input(kTransientInput, 1);
+  ASSERT_TRUE(plain.current.has_value());
+  EXPECT_EQ(ref.current->mean, plain.current->mean);
+  EXPECT_EQ(ref.current->sim_time, plain.current->sim_time);
+  EXPECT_EQ(ref.simulated_time, plain.simulated_time);
+  EXPECT_EQ(ref.events, plain.events);
+  EXPECT_EQ(ref.stats.rate_evaluations, plain.stats.rate_evaluations);
+  EXPECT_EQ(ref.stats.full_refreshes, plain.stats.full_refreshes);
 
   keep_first_records(tmp.path, 9);  // crash in the middle of the 33 slices
   const DriverResult res = run_input(kTransientInput, 1, "", tmp.path);

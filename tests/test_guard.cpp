@@ -789,6 +789,38 @@ TEST(MapFaultIsolation, PoisonedCellDegradesAndMapsStayIdentical) {
   }
 }
 
+TEST(MapFaultIsolation, StrictModeRethrowsWithCellContext) {
+  SetFixture fx;
+  StabilityMapConfig cfg;
+  cfg.bias_node = fx.src;
+  cfg.mirror = fx.drn;
+  cfg.gate_node = fx.gate;
+  cfg.bias_values = {0.005, 0.01, 0.015};
+  cfg.gate_values = {0.0, 0.02, 0.04};
+  cfg.probes = {{0, 1.0}, {1, 1.0}};
+  cfg.measure = CurrentMeasureConfig{200, 1200, 4};
+  cfg.retry.strict = true;
+
+  FaultPlan plan;
+  poison_unit(plan, /*unit=*/1, /*first=*/0, /*last=*/2);  // gate row 1
+  EngineOptions o;
+  o.temperature = 5.0;
+  o.fault = FaultInjector(&plan, 0, 0);
+  ParallelSweepConfig par;
+  par.base_seed = 13;
+  const ParallelExecutor exec(2);
+  try {
+    run_stability_map(fx.c, o, cfg, exec, par);
+    FAIL() << "strict stability map swallowed the fault";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNonFiniteRate);
+    EXPECT_NE(std::string(e.what()).find(
+                  "stability map cell (gate row 1, bias column 0)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- fault-isolated repeats (driver + JSON surface) ----------------------
 
 constexpr char kRepeatsInput[] = R"(

@@ -518,6 +518,45 @@ TEST(Scheduler, ShutdownCancelsAndCheckpointsTheRunningJob) {
   sched2.shutdown();
 }
 
+TEST(Scheduler, SpooledTransientServedBitwiseIdenticalToDirectRun) {
+  // A daemon with a spool checkpoints every job it runs. A time-bounded
+  // transient must still serve exactly the document a plain, unspooled
+  // run() of the same request produces: its slicing does not depend on
+  // whether a checkpoint file is open.
+  constexpr char kTransientInput[] = R"(
+num ext 3
+num nodes 4
+junc 1 1 4 1meg 1a
+junc 2 4 2 1meg 1a
+cap 3 4 3a
+vdc 1 0.02
+vdc 2 -0.02
+vdc 3 0.0
+temp 5
+record 1 2
+time 2e-7
+)";
+  RunRequest direct;
+  direct.input = parse_simulation_input(kTransientInput);
+  direct.seed = 3;
+  const std::string want = run(direct).to_json(/*canonical=*/true);
+
+  TempDir spool("semsim_serve_transient_spool");
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.spool_dir = spool.path;
+  JobScheduler sched(cfg);
+  RequestEnvelope env;
+  env.verb = RequestEnvelope::Verb::kSubmit;
+  env.netlist = kTransientInput;
+  env.seed = 3;
+  const std::uint64_t id = sched.submit(env);
+  const JobStatus s = wait_terminal(sched, id);
+  ASSERT_EQ(s.state, JobState::kDone) << s.error;
+  EXPECT_EQ(sched.result(id), want);
+  sched.shutdown();
+}
+
 TEST(Scheduler, QueuedJobCancelIsImmediate) {
   SchedulerConfig cfg;
   cfg.threads = 1;

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +35,13 @@ inline bool flag_value(const std::string& a, const char* name, int argc,
   return false;
 }
 
+/// Prints `<flag>: <what>: <text>` and exits 2 (usage).
+[[noreturn]] inline void flag_error(const char* flag, const char* what,
+                                    const std::string& text) {
+  std::fprintf(stderr, "%s: %s: %s\n", flag, what, text.c_str());
+  std::exit(2);
+}
+
 /// Strict decimal parse; anything but a plain non-negative integer is fatal.
 inline std::uint64_t parse_u64(const char* flag, const std::string& text) {
   char* end = nullptr;
@@ -40,9 +49,7 @@ inline std::uint64_t parse_u64(const char* flag, const std::string& text) {
   const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
       text.find('-') != std::string::npos) {
-    std::fprintf(stderr, "%s: not a non-negative integer: %s\n", flag,
-                 text.c_str());
-    std::exit(2);
+    flag_error(flag, "not a non-negative integer", text);
   }
   return v;
 }
@@ -51,16 +58,43 @@ inline double parse_f64(const char* flag, const std::string& text) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: %s\n", flag, text.c_str());
-    std::exit(2);
+    flag_error(flag, "not a number", text);
   }
   return v;
+}
+
+/// A count (--repeats, --retries, spec counts): an integer in [1, 2^32).
+inline std::uint32_t parse_count(const char* flag, const std::string& text) {
+  const std::uint64_t n = parse_u64(flag, text);
+  if (n == 0 || n > 0xFFFFFFFFULL) flag_error(flag, "out of range", text);
+  return static_cast<std::uint32_t>(n);
+}
+
+/// A strictly positive, finite real (--target-rel-error).
+inline double parse_positive_f64(const char* flag, const std::string& text) {
+  const double v = parse_f64(flag, text);
+  if (!(v > 0.0) || !std::isfinite(v)) {
+    flag_error(flag, "must be a positive finite number", text);
+  }
+  return v;
+}
+
+/// Strict signed decimal int (--priority).
+inline int parse_int(const char* flag, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+      v > INT_MAX) {
+    flag_error(flag, "not an integer", text);
+  }
+  return static_cast<int>(v);
 }
 
 /// Matches `a` against the CLI flags for_each_field lists for the spec
 /// (EnsembleSpec or PartitionSpec). On a match it parses the value into
 /// the field, enables the spec and returns true. A count (uint32_t) must
-/// be >= 1.
+/// be >= 1 (parse_count).
 template <class Spec>
 bool parse_spec_flag(const std::string& a, int argc, char** argv, int& i,
                      Spec* spec) {
@@ -71,21 +105,13 @@ bool parse_spec_flag(const std::string& a, int argc, char** argv, int& i,
     matched = true;
     using T = std::remove_reference_t<decltype(field)>;
     if constexpr (std::is_same_v<T, std::uint32_t>) {
-      const std::uint64_t n = parse_u64(flag, v);
-      if (n == 0 || n > 0xFFFFFFFFULL) {
-        std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str());
-        std::exit(2);
-      }
-      field = static_cast<std::uint32_t>(n);
+      field = parse_count(flag, v);
     } else if constexpr (std::is_same_v<T, std::uint64_t>) {
       field = parse_u64(flag, v);
     } else if constexpr (std::is_same_v<T, double>) {
       field = parse_f64(flag, v);
     } else if (!perturbation_dist_from(v, &field)) {  // Dist
-      std::fprintf(stderr,
-                   "%s: unknown distribution '%s' (gaussian|uniform)\n", flag,
-                   v.c_str());
-      std::exit(2);
+      flag_error(flag, "unknown distribution (gaussian|uniform)", v);
     }
   });
   if (matched) spec->enabled = true;

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <optional>
 #include <string>
 
@@ -127,19 +128,9 @@ int main(int argc, char** argv) {
     } else if (flag_value(a, "--threads", argc, argv, i, &v)) {
       req.threads = static_cast<unsigned>(parse_u64("--threads", v));
     } else if (flag_value(a, "--repeats", argc, argv, i, &v)) {
-      const std::uint64_t n = parse_u64("--repeats", v);
-      if (n == 0 || n > 0xFFFFFFFFULL) {
-        std::fprintf(stderr, "--repeats: out of range: %s\n", v.c_str());
-        return kExitUsage;
-      }
-      repeats_override = static_cast<std::uint32_t>(n);
+      repeats_override = parse_count("--repeats", v);
     } else if (flag_value(a, "--target-rel-error", argc, argv, i, &v)) {
-      req.stop.target_rel_error = parse_f64("--target-rel-error", v);
-      if (!(req.stop.target_rel_error > 0.0)) {
-        std::fprintf(stderr, "--target-rel-error: must be > 0: %s\n",
-                     v.c_str());
-        return kExitUsage;
-      }
+      req.stop.target_rel_error = parse_positive_f64("--target-rel-error", v);
     } else if (flag_value(a, "--max-events", argc, argv, i, &v)) {
       req.stop.max_events = parse_u64("--max-events", v);
     } else if (flag_value(a, "--checkpoint", argc, argv, i, &v)) {
@@ -151,12 +142,7 @@ int main(int argc, char** argv) {
     } else if (a == "--strict") {
       req.retry.strict = true;
     } else if (flag_value(a, "--retries", argc, argv, i, &v)) {
-      const std::uint64_t n = parse_u64("--retries", v);
-      if (n == 0 || n > 0xFFFFFFFFULL) {
-        std::fprintf(stderr, "--retries: out of range: %s\n", v.c_str());
-        return kExitUsage;
-      }
-      req.retry.max_attempts = static_cast<std::uint32_t>(n);
+      req.retry.max_attempts = parse_count("--retries", v);
     } else if (flag_value(a, "--audit-interval", argc, argv, i, &v)) {
       req.audit.interval = parse_u64("--audit-interval", v);
     } else if (a == "--no-audit") {
@@ -164,9 +150,7 @@ int main(int argc, char** argv) {
     } else if (flag_value(a, "--watchdog-seconds", argc, argv, i, &v)) {
       req.audit.watchdog_seconds = parse_f64("--watchdog-seconds", v);
       if (!(req.audit.watchdog_seconds > 0.0)) {
-        std::fprintf(stderr, "--watchdog-seconds: must be > 0: %s\n",
-                     v.c_str());
-        return kExitUsage;
+        flag_error("--watchdog-seconds", "must be > 0", v);
       }
     } else if (a == "--non-adaptive") {
       req.adaptive = false;
@@ -330,6 +314,14 @@ int main(int argc, char** argv) {
   } catch (const Error& e) {
     std::fprintf(stderr, "semsim: %s\n", e.what());
     return exit_code_for(e);
+  } catch (const std::bad_alloc&) {
+    // An input too large for this host (e.g. a huge `num nodes`) must end
+    // with a coded exit, never an abort.
+    std::fprintf(stderr, "semsim: out of memory (std::bad_alloc)\n");
+    return kExitFailure;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "semsim: %s\n", e.what());
+    return kExitFailure;
   }
   return kExitOk;
 }

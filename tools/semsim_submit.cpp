@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -145,25 +144,21 @@ int main(int argc, char** argv) {
       have_endpoint = true;
     } else if (flag_value(a, "--tcp", argc, argv, i, &v)) {
       const std::uint64_t port = parse_u64("--tcp", v);
-      if (port > 65535) {
-        std::fprintf(stderr, "--tcp: port out of range: %s\n", v.c_str());
-        return 2;
-      }
+      if (port > 65535) flag_error("--tcp", "port out of range", v);
       tcp_port = static_cast<std::uint16_t>(port);
       have_endpoint = true;
     } else if (flag_value(a, "--seed", argc, argv, i, &v)) {
       env.seed = parse_u64("--seed", v);
     } else if (flag_value(a, "--priority", argc, argv, i, &v)) {
-      env.priority = std::atoi(v.c_str());
+      env.priority = parse_int("--priority", v);
     } else if (flag_value(a, "--repeats", argc, argv, i, &v)) {
-      env.repeats = static_cast<std::uint32_t>(parse_u64("--repeats", v));
+      env.repeats = parse_count("--repeats", v);
     } else if (flag_value(a, "--target-rel-error", argc, argv, i, &v)) {
-      env.stop.target_rel_error = std::atof(v.c_str());
+      env.stop.target_rel_error = parse_positive_f64("--target-rel-error", v);
     } else if (flag_value(a, "--max-events", argc, argv, i, &v)) {
       env.stop.max_events = parse_u64("--max-events", v);
     } else if (flag_value(a, "--retries", argc, argv, i, &v)) {
-      env.retry.max_attempts =
-          static_cast<std::uint32_t>(parse_u64("--retries", v));
+      env.retry.max_attempts = parse_count("--retries", v);
     } else if (a == "--strict") {
       env.retry.strict = true;
     } else if (a == "--fast-rates") {
