@@ -7,6 +7,7 @@
 #include "bench_util.h"
 #include "base/fenwick.h"
 #include "base/random.h"
+#include "base/thread_pool.h"
 #include "core/engine.h"
 #include "linalg/cholesky.h"
 #include "netlist/circuit.h"
@@ -228,24 +229,55 @@ void BM_EngineStepNonAdaptive(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineStepNonAdaptive)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_CholeskyInverse(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+// --- C_II^-1 kernels (linalg/cholesky.h) ------------------------------
+// The two phases of the inverse island-capacitance build (perfbench's
+// linalg.factor / linalg.inverse layers) on a banded SPD stand-in for C_II:
+// each island couples to its kCholeskyBand predecessors, so every row has
+// the zero prefix the factor skips while L^-1 and the inverse stay dense.
+// Args: n, executor threads (results are bitwise identical at every width).
+
+constexpr std::size_t kCholeskyBand = 32;
+
+Matrix banded_spd(std::size_t n) {
   Xoshiro256 rng(3);
   Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
+    for (std::size_t j = i > kCholeskyBand ? i - kCholeskyBand : 0; j < i; ++j) {
       const double v = 0.1 * rng.uniform01();
       a(i, j) = -v;
       a(j, i) = -v;
     }
-    a(i, i) = 2.0 + static_cast<double>(n) * 0.1;
   }
+  // Diagonally dominant: ground coupling 1 plus the row's couplings.
+  for (std::size_t i = 0; i < n; ++i) {
+    double diag = 1.0;
+    for (std::size_t j = 0; j < n; ++j) diag -= j == i ? 0.0 : a(i, j);
+    a(i, i) = diag;
+  }
+  return a;
+}
+
+void BM_CholeskyFactor(benchmark::State& state) {
+  const Matrix a = banded_spd(static_cast<std::size_t>(state.range(0)));
+  const ParallelExecutor exec(static_cast<unsigned>(state.range(1)));
   for (auto _ : state) {
-    CholeskyDecomposition chol(a);
-    benchmark::DoNotOptimize(chol.inverse());
+    const CholeskyDecomposition chol(a, &exec);
+    benchmark::DoNotOptimize(chol.l().row_data(0));
   }
 }
-BENCHMARK(BM_CholeskyInverse)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CholeskyFactor)
+    ->Args({512, 1})->Args({512, 4})->Args({1536, 1})->Args({1536, 4})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CholeskyInverse(benchmark::State& state) {
+  const Matrix a = banded_spd(static_cast<std::size_t>(state.range(0)));
+  const ParallelExecutor exec(static_cast<unsigned>(state.range(1)));
+  const CholeskyDecomposition chol(a, &exec);
+  for (auto _ : state) benchmark::DoNotOptimize(chol.inverse());
+}
+BENCHMARK(BM_CholeskyInverse)
+    ->Args({512, 1})->Args({512, 4})->Args({1536, 1})->Args({1536, 4})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semsim

@@ -127,7 +127,7 @@ DriverResult run_partitioned(const SimulationInput& input,
   input.circuit.build_caches();
   // The global model feeds only the planner's kappa scan; each cluster
   // engine factorizes its own (much smaller) sub-circuit model.
-  const ElectrostaticModel model(input.circuit);
+  const ElectrostaticModel model(input.circuit, &exec);
   PartitionedEngine part(input.circuit, model, eo, options.partition, &exec);
 
   const std::unique_ptr<RunCheckpoint> cp =
@@ -207,6 +207,15 @@ DriverResult run_partitioned(const SimulationInput& input,
 
   while (next_unit <= kSlices) {
     throw_if_cancelled(options.cancel, "partition window");
+    if (part.windows_done() >= kMaxPartitionWindows) {
+      throw Error(ErrorCode::kNoProgress,
+                  "partition: window budget of " +
+                      std::to_string(kMaxPartitionWindows) +
+                      " windows exhausted at " +
+                      std::to_string(part.total_events()) + " of " +
+                      std::to_string(warmup + jumps) +
+                      " events; use a longer --partition-window or 0 (auto)");
+    }
     part.advance_window(chunk);
     const std::uint64_t total = part.total_events();
     if (!warmed && total >= warmup) {
@@ -500,7 +509,7 @@ DriverResult run_simulation(const SimulationInput& input,
   const std::uint32_t repeats = std::max<std::uint32_t>(input.repeats, 1);
 
   input.circuit.build_caches();
-  auto model = std::make_shared<const ElectrostaticModel>(input.circuit);
+  auto model = std::make_shared<const ElectrostaticModel>(input.circuit, &exec);
 
   struct RepeatResult {
     CurrentEstimate estimate;

@@ -255,7 +255,8 @@ std::vector<ReplicaOutcome> run_replicas(const SimulationInput& input,
   // temperature never enter the electrostatic model).
   std::shared_ptr<const ElectrostaticModel> shared_model;
   if (plain && !spec.capacitance.active()) {
-    shared_model = std::make_shared<const ElectrostaticModel>(input.circuit);
+    shared_model =
+        std::make_shared<const ElectrostaticModel>(input.circuit, &exec);
   }
 
   return exec.map<ReplicaOutcome>(spec.replicas, [&](std::size_t ru) {

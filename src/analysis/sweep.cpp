@@ -251,7 +251,7 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
   // Shared read-only state: one capacitance inversion for all engines, and
   // warm adjacency caches so concurrent engine construction is race-free.
   circuit.build_caches();
-  auto model = std::make_shared<const ElectrostaticModel>(circuit);
+  auto model = std::make_shared<const ElectrostaticModel>(circuit, &exec);
 
   std::vector<IvPoint> out(points.size());
   std::vector<SolverStats> unit_stats(n_units);
@@ -398,7 +398,7 @@ std::vector<std::vector<double>> run_stability_map(
   require(!cfg.probes.empty(), "run_stability_map: no recorded junctions");
 
   circuit.build_caches();
-  auto model = std::make_shared<const ElectrostaticModel>(circuit);
+  auto model = std::make_shared<const ElectrostaticModel>(circuit, &exec);
 
   const std::size_t n_rows = cfg.gate_values.size();
   std::vector<std::vector<double>> map(

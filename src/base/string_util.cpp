@@ -61,6 +61,12 @@ double parse_spice_number(std::string_view token) {
   throw ParseError("unknown magnitude suffix '" + suffix + "' in '" + str + "'");
 }
 
+std::string indexed_name(std::string_view prefix, std::size_t i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 bool is_comment_or_blank(std::string_view line) noexcept {
   const std::string_view t = trim(line);
   if (t.empty()) return true;

@@ -23,6 +23,10 @@ std::string to_lower(std::string s);
 /// Throws ParseError on malformed input.
 double parse_spice_number(std::string_view token);
 
+/// `prefix` followed by the decimal `i` ("w12"). Built by appending:
+/// GCC 12 flags `"w" + std::to_string(i)` with a false -Wrestrict warning.
+std::string indexed_name(std::string_view prefix, std::size_t i);
+
 /// True if `line` is blank or a comment (starts with '#', '*' or "//").
 bool is_comment_or_blank(std::string_view line) noexcept;
 

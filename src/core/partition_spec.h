@@ -18,6 +18,14 @@
 
 namespace semsim {
 
+/// Window budget of one partitioned run. Nothing else bounds the window
+/// count (simulated time / window): a window far below the event spacing
+/// spins through empty barriers (e.g. a 1e-9 s window on a blockaded
+/// device needing ~1e3 s of simulated time). Empty windows cost ~1 us, so
+/// the budget fails such a run within seconds. At the auto window (about
+/// 256 events per cluster per window) it still admits runs of 10^8+ events.
+inline constexpr std::uint64_t kMaxPartitionWindows = std::uint64_t{1} << 20;
+
 /// Domain-decomposition request for a single measurement run: split the
 /// junction graph into weakly-coupled clusters and advance them under
 /// conservative time windowing (core/partition.h).

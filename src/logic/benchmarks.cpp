@@ -1,6 +1,7 @@
 #include "logic/benchmarks.h"
 
 #include "base/error.h"
+#include "base/string_util.h"
 #include "logic/random_logic.h"
 
 namespace semsim {
@@ -96,8 +97,8 @@ LogicBenchmark make_74ls153() {
   const SignalId s0 = n.add_input("s0");
   const SignalId s1 = n.add_input("s1");
   std::vector<SignalId> c1, c2;
-  for (int i = 0; i < 4; ++i) c1.push_back(n.add_input("1c" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) c2.push_back(n.add_input("2c" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) c1.push_back(n.add_input(indexed_name("1c", i)));
+  for (int i = 0; i < 4; ++i) c2.push_back(n.add_input(indexed_name("2c", i)));
   const SignalId g1n = n.add_input("1g_n");
   const SignalId g2n = n.add_input("2g_n");
   auto mux4 = [&](const std::vector<SignalId>& d, SignalId strobe_n) {
@@ -159,7 +160,7 @@ LogicBenchmark make_74148() {
   b.paper_junctions = 336;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> in;
-  for (int i = 0; i < 8; ++i) in.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) in.push_back(n.add_input(indexed_name("i", i)));
   const SignalId n2 = n.add(Op::kInv, in[2]);
   const SignalId n4 = n.add(Op::kInv, in[4]);
   const SignalId n5 = n.add(Op::kInv, in[5]);
@@ -193,7 +194,7 @@ LogicBenchmark make_74154() {
   b.paper_junctions = 360;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> sel, nsel;
-  for (int i = 0; i < 4; ++i) sel.push_back(n.add_input("s" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) sel.push_back(n.add_input(indexed_name("s", i)));
   const SignalId g1 = n.add_input("g1_n");
   const SignalId g2 = n.add_input("g2_n");
   for (const SignalId s : sel) nsel.push_back(n.add(Op::kInv, s));
@@ -264,7 +265,7 @@ LogicBenchmark make_74ls280() {
   b.paper_junctions = 484;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> in;
-  for (int i = 0; i < 9; ++i) in.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 9; ++i) in.push_back(n.add_input(indexed_name("i", i)));
   const SignalId odd = n.xor_tree(in);
   const SignalId even = n.add(Op::kInv, odd);
   n.mark_output(n.add(Op::kBuf, even));
@@ -283,9 +284,9 @@ LogicBenchmark make_54ls181() {
   b.paper_junctions = 944;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> a, bs, s;
-  for (int i = 0; i < 4; ++i) a.push_back(n.add_input("a" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) bs.push_back(n.add_input("b" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) s.push_back(n.add_input("s" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) a.push_back(n.add_input(indexed_name("a", i)));
+  for (int i = 0; i < 4; ++i) bs.push_back(n.add_input(indexed_name("b", i)));
+  for (int i = 0; i < 4; ++i) s.push_back(n.add_input(indexed_name("s", i)));
   const SignalId m = n.add_input("m");
   const SignalId cn = n.add_input("cn");
   const SignalId nm = n.add(Op::kInv, m);
@@ -327,7 +328,7 @@ LogicBenchmark make_s208() {
   const SignalId en = n.add_input("en");
   const SignalId clk = n.add_input("clk");
   std::vector<SignalId> q;
-  for (int i = 0; i < 8; ++i) q.push_back(n.add_input("q" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) q.push_back(n.add_input(indexed_name("q", i)));
 
   SignalId carry = en;
   std::vector<SignalId> t;

@@ -1,6 +1,7 @@
 #include "logic/builder.h"
 
 #include "base/error.h"
+#include "base/string_util.h"
 
 namespace semsim {
 
@@ -24,7 +25,7 @@ NodeId SetCircuitBuilder::add_input(std::string name) {
 }
 
 NodeId SetCircuitBuilder::add_wire(std::string name) {
-  if (name.empty()) name = "w" + std::to_string(wire_counter_++);
+  if (name.empty()) name = indexed_name("w", wire_counter_++);
   const NodeId n = circuit_.add_island(std::move(name));
   circuit_.add_capacitor(n, Circuit::kGroundNode, params_.c_wire);
   circuit_.set_background_charge(n, 0.5);

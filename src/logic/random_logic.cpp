@@ -4,6 +4,7 @@
 
 #include "base/error.h"
 #include "base/random.h"
+#include "base/string_util.h"
 
 namespace semsim {
 
@@ -90,7 +91,7 @@ RandomLogicBlocks make_random_logic_blocks(const RandomLogicSpec& per_block,
         static_cast<SignalId>(out.netlist.signal_count());
     out.chain_out.push_back(append_random_block(
         out.netlist, per_block, derive_stream_seed(per_block.seed, b),
-        "b" + std::to_string(b) + "_"));
+        indexed_name("b", b) + "_"));
     out.signals.emplace_back(
         first, static_cast<SignalId>(out.netlist.signal_count()));
   }

@@ -12,7 +12,8 @@ constexpr double kKappaFlushThreshold = 1e-100;
 
 }  // namespace
 
-ElectrostaticModel::ElectrostaticModel(const Circuit& circuit) {
+ElectrostaticModel::ElectrostaticModel(const Circuit& circuit,
+                                       const ParallelExecutor* exec) {
   circuit.validate();
 
   const std::size_t n_nodes = circuit.node_count();
@@ -66,7 +67,7 @@ ElectrostaticModel::ElectrostaticModel(const Circuit& circuit) {
 
   if (ni > 0) {
     try {
-      CholeskyDecomposition chol(c_ii_);
+      CholeskyDecomposition chol(c_ii_, exec);
       kappa_ = chol.inverse();
     } catch (NumericError& e) {
       // Caught by reference and rethrown with `throw;`, so the added frame

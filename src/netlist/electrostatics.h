@@ -28,12 +28,21 @@ struct CapacitiveElement {
   double capacitance = 0.0;
 };
 
+class ParallelExecutor;
+
 class ElectrostaticModel {
  public:
   /// Builds the model. Throws CircuitError / NumericError when the circuit
   /// is structurally or electrically invalid (e.g. an island with no
   /// capacitive path to any fixed potential makes C_II singular).
-  explicit ElectrostaticModel(const Circuit& circuit);
+  ///
+  /// `exec`, when given, runs the C_II factor and inverse on its threads;
+  /// kappa is bitwise identical at every width. Only the top-level model
+  /// builds of the analysis drivers pass it, before any work unit runs:
+  /// from inside a unit of the same executor the nested for_each would
+  /// deadlock on the bounded pool.
+  explicit ElectrostaticModel(const Circuit& circuit,
+                              const ParallelExecutor* exec = nullptr);
 
   std::size_t island_count() const noexcept { return island_nodes_.size(); }
   std::size_t external_count() const noexcept { return external_nodes_.size(); }

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "base/error.h"
+#include "base/string_util.h"
 
 namespace semsim {
 
@@ -13,7 +14,7 @@ SpiceCircuit::SpiceCircuit() {
 
 int SpiceCircuit::add_node(std::string name) {
   const int id = static_cast<int>(names_.size());
-  if (name.empty()) name = "n" + std::to_string(id);
+  if (name.empty()) name = indexed_name("n", static_cast<std::size_t>(id));
   names_.push_back(std::move(name));
   source_index_.push_back(-1);
   return id;

@@ -32,9 +32,17 @@ jumps 8000
 sweep 2 0.02 0.005
 )";
 
+/// Driver options with only the seed and the solver choice set.
+DriverOptions seeded(std::uint64_t seed, bool adaptive = true) {
+  DriverOptions o;
+  o.seed = seed;
+  o.adaptive = adaptive;
+  return o;
+}
+
 TEST(Driver, SweepInputProducesBlockadeCurve) {
   const SimulationInput in = parse_simulation_input(std::string(kSweepInput));
-  const DriverResult r = run_simulation(in, {7, true});
+  const DriverResult r = run_simulation(in, seeded(7));
   ASSERT_EQ(r.sweep.size(), 9u);
   EXPECT_FALSE(r.current.has_value());
   // Blockade at the centre; conduction at the ends; antisymmetric-ish.
@@ -89,8 +97,8 @@ time 5e-8
 
 TEST(Driver, NonAdaptiveOptionMatchesAdaptive) {
   const SimulationInput in = parse_simulation_input(std::string(kSweepInput));
-  const DriverResult ra = run_simulation(in, {11, true});
-  const DriverResult rn = run_simulation(in, {11, false});
+  const DriverResult ra = run_simulation(in, seeded(11));
+  const DriverResult rn = run_simulation(in, seeded(11, false));
   ASSERT_EQ(ra.sweep.size(), rn.sweep.size());
   const double ia = ra.sweep.back().current;
   const double ib = rn.sweep.back().current;

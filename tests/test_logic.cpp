@@ -7,6 +7,7 @@
 
 #include "analysis/delay.h"
 #include "base/constants.h"
+#include "base/string_util.h"
 #include "logic/benchmarks.h"
 #include "logic/builder.h"
 #include "logic/elaborate.h"
@@ -75,7 +76,7 @@ TEST(GateNetlist, EvaluateBasicOps) {
 TEST(GateNetlist, TreesAndMux) {
   GateNetlist n;
   std::vector<SignalId> in;
-  for (int i = 0; i < 5; ++i) in.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) in.push_back(n.add_input(indexed_name("i", i)));
   const SignalId all = n.and_tree(in);
   const SignalId any = n.or_tree(in);
   const SignalId parity = n.xor_tree(in);

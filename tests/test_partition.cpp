@@ -4,6 +4,7 @@
 // fault injection, and driver-level checkpoint/resume of a partitioned run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -18,6 +19,7 @@
 #include "guard/fault.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
+#include "netlist/parser.h"
 
 namespace semsim {
 namespace {
@@ -325,6 +327,31 @@ TEST(PartitionDriver, CheckpointedRunResumesMidWindowBitwise) {
     const DriverResult res = run_partitioned_input(threads, "", tmp.path);
     expect_results_bitwise_equal(ref, res);
   }
+}
+
+TEST(PartitionDriver, DegenerateWindowFailsCodedOnTheWindowBudget) {
+  // A 1 ns window on the blockaded two-SET example (which needs ~1e3 s of
+  // simulated time for its events) would spin through ~1e12 empty
+  // barriers. The window budget turns that into a coded error.
+  const SimulationInput in = parse_simulation_file(
+      std::string(SEMSIM_SOURCE_DIR) + "/examples/service/fabric.sem");
+  DriverOptions opt;
+  opt.seed = 7;
+  opt.partition.enabled = true;
+  opt.partition.clusters = 2;
+  opt.partition.window = 1e-9;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    run_simulation(in, opt);
+    ADD_FAILURE() << "degenerate window ran to completion";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNoProgress) << e.what();
+    EXPECT_NE(std::string(e.what()).find("window budget"), std::string::npos);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(seconds, 30.0);
 }
 
 }  // namespace

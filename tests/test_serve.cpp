@@ -586,12 +586,18 @@ struct ServerFixture {
 
   explicit ServerFixture(std::size_t max_request_bytes = 4u << 20)
       : dir("semsim_serve_sock"),
-        sched_cfg{/*threads=*/2, /*cache_bytes=*/64u << 20,
-                  /*spool_dir=*/""},
+        sched_cfg{make_scheduler_config()},
         scheduler(sched_cfg),
         server_cfg{make_server_config(max_request_bytes)},
         server(server_cfg, scheduler),
         accept_thread([this] { server.run(); }) {}
+
+  static SchedulerConfig make_scheduler_config() {
+    SchedulerConfig cfg;
+    cfg.threads = 2;
+    cfg.cache_bytes = 64u << 20;
+    return cfg;
+  }
 
   ServerConfig make_server_config(std::size_t max_request_bytes) {
     std::filesystem::create_directories(dir.path);
